@@ -74,53 +74,71 @@ class RowSpan:
         return True
 
 
-def kernel_basis(rows, width: int):
-    """Primitive integer basis of {v : R v = 0} for the given equation rows."""
-    span = RowSpan(width)
-    for r in rows:
-        span.add(r)
-    pivot_set = set(span.pivots)
+def _rref(rows, ncols: int):
+    """Gauss-Jordan elimination over Q on the first ncols columns of a copy
+    of rows.  Returns (rows, pivots): row i < len(pivots) has a 1 in column
+    pivots[i] and zeros in every other pivot column; the remaining rows
+    vanish on the first ncols columns."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        if pv != 1:
+            pv = Fraction(pv)
+            rows[r] = [x / pv if x else x for x in rows[r]]
+        row_r = rows[r]
+        for i in range(m):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], row_r)]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def _null_vectors(rows, pivots, ncols: int):
+    """Primitive basis of the kernel of reduced rows, one vector per free
+    column in increasing order."""
+    pivot_set = set(pivots)
     basis = []
-    for free in range(width):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * width
-        v[free] = Fraction(1)
-        for row, p in zip(span.rows, span.pivots):
-            if row[free]:
-                v[p] = -Fraction(row[free], row[p])
+        v = [0] * ncols
+        v[free] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
         basis.append(primitive(v))
     return basis
 
 
-def solve_right(a_rows, b_rows, ncols: int):
-    """Solve A X = B for one X (free coordinates zero); A given as rows of
-    length ncols, B as rows aligned with A.  Raises ValueError when
-    inconsistent.  X is returned as a list of ncols rows of rationals."""
-    m = len(a_rows)
-    k = len(b_rows[0]) if m and b_rows else 0
-    aug = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = Fraction(aug[r][col]) if aug[r][col] != 1 else None
-        if pv is not None:
-            aug[r] = [x / pv if x else x for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                row_r = aug[r]
-                aug[i] = [x - f * y if y else x for x, y in zip(aug[i], row_r)]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][ncols:]):
+def kernel_basis(rows, width: int):
+    """Primitive integer basis of {v : R v = 0} for the given equation rows."""
+    reduced, pivots = _rref(rows, width)
+    return _null_vectors(reduced, pivots, width)
+
+
+def solve_right(a_rows, rhs, ncols: int):
+    """Solve A x = b for every right-hand side b in rhs, with one
+    elimination of [A | B].  A is given as rows of length ncols; each b has
+    one entry per row of A.  Returns (xs, kernel): xs holds one solution per
+    b with free coordinates zero, kernel the primitive basis of {v : A v = 0}.
+    Raises ValueError when some b is not in the column space of A."""
+    aug = [list(ar) + [b[i] for b in rhs] for i, ar in enumerate(a_rows)]
+    reduced, pivots = _rref(aug, ncols)
+    for row in reduced[len(pivots):]:
+        if any(row[ncols:]):
             raise ValueError("inconsistent linear system")
-    x = [[0] * k for _ in range(ncols)]
-    for idx, col in enumerate(pivots):
-        x[col] = aug[idx][ncols:]
-    return x
+    xs = []
+    for s in range(len(rhs)):
+        x = [0] * ncols
+        for row, col in zip(reduced, pivots):
+            x[col] = row[ncols + s]
+        xs.append(x)
+    return xs, _null_vectors(reduced, pivots, ncols)

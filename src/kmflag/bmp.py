@@ -5,35 +5,34 @@ Poincare polynomials against inverse Kazhdan-Lusztig polynomials.
 The construction sweeps the support {w : base <= w} in a linear extension
 of Bruhat order.  At each new vertex the sections built so far are pushed
 into the incident lower edges, the image is covered by a minimal graded
-free module (the new stalk), and every section is extended through the
-cover; the kernel of the cover map supplies the sections born at the new
-vertex.  Extending a section never changes its components at older
-vertices, so the section space is carried incrementally.  The image over
-the processed prefix equals the image over {y < w} because the canonical
-sheaf is flabby; strict mode recomputes sections over {y < w} literally
-for cross-checking.
+free module (the new stalk, via graded_algebra.cover_step), and every
+section is lifted through the cover; the kernel of the cover map supplies
+the sections born at the new vertex.  Extending a section never changes its
+components at older vertices, so the section space is carried
+incrementally.  The image over the processed prefix equals the image over
+{y < w} because the canonical sheaf is flabby.  The oracle
+bmp_cover_degrees in tests/oracles.py checks that claim: it recomputes the
+sections over {y < w} from scratch with moment_graph.sections and covers
+their image at every support vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._linalg import RowSpan, kernel_basis, solve_right
-from .errors import (
-    BaseNotVertex,
-    CapBoundaryGenerator,
-    IntervalNotContained,
-    NotInIdeal,
-)
+from ._linalg import solve_right
+from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
 from .graded_algebra import (
     CyclicPiece,
     ModuleAmbient,
     SPoly,
+    cover_step,
     linear_quotient,
+    monomial_multiples,
     poly_ring,
 )
 from .kl import KLTable, QPoly
-from .moment_graph import GraphSheaf, MomentGraph, sections
+from .moment_graph import GraphSheaf, MomentGraph
 from .weyl import WeylElement, bruhat_leq, format_word
 
 
@@ -123,14 +122,8 @@ def compute_bmp(
     base: WeylElement,
     degree_cap: int | None = None,
     order=None,
-    strict: bool = False,
 ) -> BMPSheaf:
-    """Run the canonical construction from the given base vertex.
-
-    strict=True recomputes the sections over {y < w} from scratch at every
-    vertex instead of extending them incrementally; slow, kept to validate
-    the incremental path.
-    """
+    """Run the canonical construction from the given base vertex."""
     if base not in graph.ideal:
         raise BaseNotVertex(f"{format_word(base)} is not a vertex of the graph")
     cap = default_degree_cap(graph, base) if degree_cap is None else degree_cap
@@ -168,24 +161,6 @@ def compute_bmp(
                 rows.append([0] * zero_width)
         return rows
 
-    def stalk_columns(boundary_amb, gens, d):
-        """Boundary images of the degree-d monomial basis of the new stalk,
-        ordered by (generator, monomial)."""
-        cols = []
-        for dgen, vec in gens:
-            rel = d - dgen
-            if rel < 0 or rel % 2:
-                continue
-            for mono in ring.monomials(rel // 2):
-                col = vec
-                deg = dgen
-                for var, count in enumerate(mono):
-                    for _ in range(count):
-                        col = boundary_amb.mul_var_vec(col, deg, var)
-                        deg += 2
-                cols.append(col)
-        return cols
-
     first = True
     for w in support:
         if first:
@@ -210,14 +185,6 @@ def compute_bmp(
             edge_piece_ranges.append((start, len(pieces)))
         boundary_amb = ModuleAmbient(nvars, pieces)
 
-        if strict:
-            partial = GraphSheaf(
-                graph, nvars, dict(vertex_shifts), dict(edge_shifts),
-                dict(restrictions), cap,
-            )
-            down = [y for y in stalk_of if bruhat_leq(y, w)]
-            down_sections = sections(partial, subset=down, max_degree=cap)
-
         def edge_offsets(d):
             dims = boundary_amb.dims(d)
             offs = []
@@ -233,69 +200,33 @@ def compute_bmp(
         for d in degrees:
             width = boundary_amb.dim(d)
             offs = edge_offsets(d)
-            if strict:
-                pi_rows = []
-                for sec in down_sections[d]:
-                    row = [0] * width
-                    for e, off in zip(d_edges, offs):
-                        y = e.lower
-                        yvec = partial.vertex_ambient(y).flatten(sec[y], d)
-                        red = _reduce_to_edge(nvars, e.label, stalk_of[y], yvec, d)
-                        for i, val in enumerate(red):
-                            row[off + i] = val
-                    pi_rows.append(row)
-            else:
-                per_edge = [reduced_rows(e, d, nsec[d]) for e in d_edges]
-                pi_rows = []
-                for s in range(nsec[d]):
-                    row = [0] * width
-                    for off, rows in zip(offs, per_edge):
-                        red = rows[s]
-                        for i, val in enumerate(red):
-                            row[off + i] = val
-                    pi_rows.append(row)
+            per_edge = [reduced_rows(e, d, nsec[d]) for e in d_edges]
+            pi_rows = []
+            for s in range(nsec[d]):
+                row = [0] * width
+                for off, rows in zip(offs, per_edge):
+                    red = rows[s]
+                    for i, val in enumerate(red):
+                        row[off + i] = val
+                pi_rows.append(row)
 
-            span = RowSpan(width)
-            for v in image_basis_prev:
-                for var in range(nvars):
-                    span.add(boundary_amb.mul_var_vec(v, d - 2, var))
-            for row in pi_rows:
-                if span.add(row):
-                    if d >= cap - 2:
-                        raise CapBoundaryGenerator(
-                            f"stalk generator in degree {d} within one step"
-                            f" of cap {cap} at {format_word(w)}"
-                        )
-                    new_gens.append((d, row))
-            image_basis_prev = span.rows
+            image_basis_prev, fresh = cover_step(
+                boundary_amb, image_basis_prev, pi_rows, d, cap,
+                where=f" at {format_word(w)}",
+            )
+            new_gens.extend((d, pi_rows[i]) for i in fresh)
 
-            if strict:
-                continue
-
-            gen_cols = stalk_columns(boundary_amb, new_gens, d)
-            r_d = len(gen_cols)
-            if r_d == 0:
-                if any(any(row) for row in pi_rows):
-                    raise AssertionError("nonzero boundary image with zero stalk")
-                comp[w][d] = [[] for _ in range(len(pi_rows))]
-                continue
-            if width == 0:
-                rows_w = [[0] * r_d for _ in range(len(pi_rows))]
-                for t in range(r_d):
-                    rows_w.append([1 if c == t else 0 for c in range(r_d)])
-                    nsec[d] += 1
-                comp[w][d] = rows_w
-                continue
-            g_rows = [[col[r] for col in gen_cols] for r in range(width)]
-            b_rows = [[pi[r] for pi in pi_rows] for r in range(width)]
-            x_sol = solve_right(g_rows, b_rows, r_d)
-            rows_w = [
-                [x_sol[c][s] for c in range(r_d)] for s in range(len(pi_rows))
+            # the new stalk's degree-d basis, (generator, monomial) ordered,
+            # mapped into the boundary; each section lifts through it
+            gen_cols = [
+                col
+                for dgen, vec in new_gens
+                for col in monomial_multiples(boundary_amb, vec, dgen, d)
             ]
-            for kv in kernel_basis(g_rows, r_d):
-                rows_w.append(list(kv))
-                nsec[d] += 1
-            comp[w][d] = rows_w
+            g_rows = [[col[r] for col in gen_cols] for r in range(width)]
+            lifts, kernel = solve_right(g_rows, pi_rows, len(gen_cols))
+            comp[w][d] = lifts + kernel
+            nsec[d] += len(kernel)
 
         shifts_w = tuple(d for d, _ in new_gens)
         stalk_of[w] = _FreeStalk(ring, shifts_w)
@@ -366,17 +297,12 @@ class VerificationReport:
         return all(e.match for e in self.entries)
 
 
-def verify_against_inverse_kl(
-    graph: MomentGraph,
-    base: WeylElement,
-    table: KLTable,
-    degree_cap: int | None = None,
-) -> VerificationReport:
-    """Compare the stalk Poincare polynomial at every vertex above the base
-    with the corresponding inverse Kazhdan-Lusztig polynomial."""
-    sheaf = compute_bmp(graph, base, degree_cap=degree_cap)
+def verify_against_inverse_kl(sheaf: BMPSheaf, table: KLTable) -> VerificationReport:
+    """Compare the stalk Poincare polynomial at every vertex above the
+    sheaf's base with the corresponding inverse Kazhdan-Lusztig polynomial."""
+    base = sheaf.base
     entries = []
-    for w in graph.vertices:
+    for w in sheaf.graph.vertices:
         if not bruhat_leq(base, w):
             continue
         try:

@@ -209,9 +209,7 @@ def _cmd_bmp(config: RunConfig):
     status = EXIT_OK
     if config.verify:
         table = KLTable(ideal)
-        report = bmp_mod.verify_against_inverse_kl(
-            graph, base, table, degree_cap=config.degree_cap_override
-        )
+        report = bmp_mod.verify_against_inverse_kl(sheaf, table)
         doc["report"] = {
             "entries": _verification_entries(report),
             "all_match": report.all_match,
@@ -233,9 +231,10 @@ def _cmd_verify_kl(config: RunConfig):
     reports = []
     ok = True
     for base in bases:
-        report = bmp_mod.verify_against_inverse_kl(
-            graph, base, table, degree_cap=config.degree_cap_override
+        sheaf = bmp_mod.compute_bmp(
+            graph, base, degree_cap=config.degree_cap_override
         )
+        report = bmp_mod.verify_against_inverse_kl(sheaf, table)
         ok = ok and report.all_match
         reports.append(
             {

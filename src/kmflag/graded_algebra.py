@@ -309,13 +309,6 @@ class LinearQuotient:
                 out[idx[tgt]] += c * f
         return out
 
-    def reduce_full_vec(self, vec, k: int):
-        """Reduce a coefficient vector over all monomials(k)."""
-        monos = self.ring.monomials(k)
-        return self.reduce_terms(
-            {m: c for m, c in zip(monos, vec) if c}, k
-        )
-
     def reduce_map_indexed(self, k: int) -> tuple:
         """Reduction matrix in sparse index form: per source monomial index,
         ((reduced index, coeff), ...)."""
@@ -514,25 +507,46 @@ class GradedModuleRep:
         return degs
 
 
-def _degree_candidates(module: GradedModuleRep, d: int):
-    """Flattened spanning vectors {monomial * generator} of the degree-d
-    slice, in deterministic (generator, monomial) order."""
-    amb = module.ambient
+def monomial_multiples(amb: ModuleAmbient, vec, e: int, d: int) -> list:
+    """m * vec for every monomial m carrying the flattened degree-e vector
+    to degree d, in monomials() order; empty unless d - e is even and
+    nonnegative."""
+    rel = d - e
+    if rel < 0 or rel % 2:
+        return []
     out = []
-    for g in module.generators:
-        e = amb.element_degree(g)
-        if e is None or e > d or (d - e) % 2:
-            continue
-        base = amb.flatten(g, e)
-        for mono in amb.ring.monomials((d - e) // 2):
-            vec = base
-            deg = e
-            for var, count in enumerate(mono):
-                for _ in range(count):
-                    vec = amb.mul_var_vec(vec, deg, var)
-                    deg += 2
-            out.append(vec)
+    for mono in amb.ring.monomials(rel // 2):
+        col = vec
+        deg = e
+        for var, count in enumerate(mono):
+            for _ in range(count):
+                col = amb.mul_var_vec(col, deg, var)
+                deg += 2
+        out.append(col)
     return out
+
+
+def cover_step(amb: ModuleAmbient, prev_basis, candidates, d: int, cap: int,
+               where: str = ""):
+    """One degree of a graded projective cover of a submodule M.
+
+    prev_basis spans M_{d-2} (flattened); the degree-d candidates are added
+    in order to the span of S_2 * M_{d-2} = (S+ M)_d.  Returns a basis of
+    the resulting slice and the indices of the candidates that enlarged it,
+    which are the new minimal generators.  A generator within one even step
+    of the cap means the answer cannot be trusted; where is appended to
+    that error's message.
+    """
+    span = RowSpan(amb.dim(d))
+    for v in prev_basis:
+        for var in range(amb.nvars):
+            span.add(amb.mul_var_vec(v, d - 2, var))
+    fresh = [i for i, v in enumerate(candidates) if span.add(v)]
+    if fresh and d >= cap - 2:
+        raise CapBoundaryGenerator(
+            f"generator in degree {d} within one step of cap {cap}{where}"
+        )
+    return span.rows, fresh
 
 
 def degree_basis(module: GradedModuleRep, d: int):
@@ -541,46 +555,34 @@ def degree_basis(module: GradedModuleRep, d: int):
         raise DegreeCapExceeded(f"degree {d} above cap {module.degree_cap}")
     amb = module.ambient
     span = RowSpan(amb.dim(d))
-    for v in _degree_candidates(module, d):
-        span.add(v)
+    for g in module.generators:
+        e = amb.element_degree(g)
+        if e is not None:
+            for v in monomial_multiples(amb, amb.flatten(g, e), e, d):
+                span.add(v)
     return [amb.unflatten(row, d) for row in span.rows]
 
 
 def minimal_generators(module: GradedModuleRep):
     """Degrees of a minimal homogeneous generating set, with representatives.
 
-    Degreewise sweep: in each degree the new generators are a basis of the
-    slice modulo everything reachable from lower degrees.  A generator
-    within one even step of the cap means the answer cannot be trusted.
+    Degreewise sweep of cover_step: in each degree the new generators are
+    a basis of the slice modulo everything reachable from lower degrees.
     """
     amb = module.ambient
     gen_degrees = module.generator_degrees()
     if not gen_degrees:
         return (), []
-    start = min(gen_degrees)
     degrees = []
     reps = []
     prev_basis: list = []
-    d = start
-    while d <= module.degree_cap:
-        span = RowSpan(amb.dim(d))
-        # (S+ M)_d = S_2 . M_{d-2}; every monomial*generator candidate of
-        # positive monomial degree already lies in this span
-        for v in prev_basis:
-            for var in range(amb.nvars):
-                span.add(amb.mul_var_vec(v, d - 2, var))
-        news = 0
-        for g in module.generators:
-            if amb.element_degree(g) == d and span.add(amb.flatten(g, d)):
-                degrees.append(d)
-                reps.append(g)
-                news += 1
-        if news and d >= module.degree_cap - 2:
-            raise CapBoundaryGenerator(
-                f"generator in degree {d} within one step of cap {module.degree_cap}"
-            )
-        prev_basis = span.rows
-        d += 2
+    for d in range(min(gen_degrees), module.degree_cap + 1, 2):
+        gens = [g for g in module.generators if amb.element_degree(g) == d]
+        prev_basis, fresh = cover_step(
+            amb, prev_basis, [amb.flatten(g, d) for g in gens], d, module.degree_cap
+        )
+        degrees.extend(d for _ in fresh)
+        reps.extend(gens[i] for i in fresh)
     return tuple(degrees), reps
 
 
@@ -597,24 +599,3 @@ def image_module(source: GradedModuleRep, images, target: ModuleAmbient,
     cap = source.degree_cap if degree_cap is None else degree_cap
     return GradedModuleRep(target, tuple(images), cap)
 
-
-def debug_dump(module: GradedModuleRep) -> dict:
-    """JSON-friendly dump: pieces and generators as sorted term lists."""
-
-    def poly_terms(p: SPoly):
-        return [[list(exp), str(c)] for exp, c in p.sorted_terms()]
-
-    return {
-        "nvars": module.ambient.nvars,
-        "degree_cap": module.degree_cap,
-        "pieces": [
-            {
-                "shift": piece.shift,
-                "annihilator": list(piece.annihilator)
-                if piece.annihilator is not None
-                else None,
-            }
-            for piece in module.ambient.pieces
-        ],
-        "generators": [[poly_terms(c) for c in g] for g in module.generators],
-    }

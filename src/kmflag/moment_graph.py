@@ -59,9 +59,6 @@ class MomentGraph:
     def edges_at(self, v: WeylElement) -> list[Edge]:
         return [e for e in self.edges if v in (e.lower, e.upper)]
 
-    def leq(self, x, y) -> bool:
-        return bruhat_leq(x, y)
-
 
 def build_moment_graph(
     datum: RootDatum, ideal: BruhatIdeal, dual: bool = False

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
+from ._linalg import kernel_basis, primitive
 from .errors import HeightBoundExceeded, NotGCM, NotSymmetrizable, UnsupportedKind
 
 RootVector = tuple[int, ...]
@@ -91,19 +91,12 @@ def _symmetrizer(a) -> tuple[int, ...]:
                     stack.append(j)
                 elif ratio[j] != r:
                     raise NotSymmetrizable("inconsistent symmetrizer ratios on a cycle")
-    d = [Fraction(0)] * n
+    d = [0] * n
     for start in set(component):
         idx = [i for i in range(n) if component[i] == start]
-        scale = 1
-        for i in idx:
-            scale = scale * ratio[i].denominator // gcd(scale, ratio[i].denominator)
-        vals = [ratio[i] * scale for i in idx]
-        g = 0
-        for v in vals:
-            g = gcd(g, int(v))
-        for i, v in zip(idx, vals):
-            d[i] = v / g
-    return tuple(int(x) for x in d)
+        for i, v in zip(idx, primitive([ratio[i] for i in idx])):
+            d[i] = v
+    return tuple(d)
 
 
 def _charpoly_esyms(b) -> list[Fraction]:
@@ -133,38 +126,11 @@ def _charpoly_esyms(b) -> list[Fraction]:
 def _left_null_vector(a) -> tuple[int, ...]:
     """Primitive integer solution of x·A = 0, assuming a 1-dimensional kernel."""
     n = len(a)
-    # row-reduce the transpose: columns of A^T are rows of A
-    rows = [[Fraction(a[i][j]) for i in range(n)] for j in range(n)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    # x.A = 0 is A^T x = 0, whose rows are the columns of A
+    kernel = kernel_basis([[a[i][j] for i in range(n)] for j in range(n)], n)
+    if len(kernel) != 1:
         raise NotGCM("expected a one-dimensional null space")
-    sol = [Fraction(0)] * n
-    sol[free[0]] = Fraction(1)
-    for i, col in enumerate(pivots):
-        sol[col] = -rows[i][free[0]]
-    scale = 1
-    for x in sol:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in sol]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = kernel[0]
     if sum(ints) < 0:
         ints = [-x for x in ints]
     return tuple(ints)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
+from ._linalg import kernel_basis
 from .errors import NotInIdeal, NotRealRoot, SizeLimitExceeded, UnsupportedKind
 from .root_datum import (
     FINITE,
@@ -229,41 +229,13 @@ def is_reflection(t: WeylElement) -> RootVector | None:
     n = t.datum.rank
     if t.is_identity() or _matmul(t.matrix, t.matrix) != _identity_matrix(n):
         return None
-    rows = [[Fraction(t.matrix[i][j] + (1 if i == j else 0)) for j in range(n)]
-            for i in range(n)]
-    # kernel of (M + I)
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    kernel = kernel_basis(
+        [[t.matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)],
+        n,
+    )
+    if len(kernel) != 1:
         return None
-    sol = [Fraction(0)] * n
-    sol[free[0]] = Fraction(1)
-    for i, col in enumerate(pivots):
-        sol[col] = -rows[i][free[0]]
-    scale = 1
-    for x in sol:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in sol]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    beta = tuple(x // g for x in ints)
-    if is_negative_vector(beta):
-        beta = tuple(-c for c in beta)
+    beta = tuple(kernel[0])
     if not is_positive_vector(beta):
         return None
     if not t.datum.is_real_root(beta):

@@ -4,12 +4,15 @@ The KL oracle follows the original construction: R-polynomials by their
 descent recursion, then P-polynomials extracted coefficientwise from
 q^(l(w)-l(x)) P(1/q) - P(q) = sum R_{x,y} P_{y,w}.  The Bruhat oracle is
 the reflexive-transitive closure of the covering relation.  Neither shares
-code with the package's recursions.
+code with the package's recursions.  The BMP oracle recomputes sections
+from scratch at every vertex instead of carrying them incrementally.
 """
 
 from fractions import Fraction
 
+from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
 from kmflag.kl import QPoly
+from kmflag.moment_graph import sections
 from kmflag.weyl import bruhat_leq, inverse, multiply, simple_reflection
 
 
@@ -171,3 +174,46 @@ def brute_kostant(datum, beta, positive_roots_with_mult) -> int:
 
     rec(0, tuple(beta))
     return count
+
+
+def bmp_cover_degrees(result) -> dict:
+    """Stalk degrees that the defining cover condition of the canonical
+    sheaf (Braden-MacPherson 2001; Fiebig, Adv. Math. 2008) demands of a
+    compute_bmp result, at every vertex of its support.
+
+    The stalk at the base is S.  At any other support vertex w it is the
+    minimal graded free cover of the image of the sections over {y < w}
+    in the boundary module, the sum of the edge modules over the edges
+    e = (y, w).  The sections are recomputed with sections() on the
+    result's own sheaf for every w, where compute_bmp carries them along.
+    """
+    sheaf = result.sheaf
+    graph = result.graph
+    cap = result.degree_cap
+    out = {}
+    for w in graph.vertices:
+        if not bruhat_leq(result.base, w):
+            continue
+        if w == result.base:
+            out[w] = (0,)
+            continue
+        below = [y for y in graph.vertices if y != w and bruhat_leq(y, w)]
+        up_edges = [e for e in graph.edges if e.upper == w]
+        boundary = ModuleAmbient(
+            sheaf.nvars, [p for e in up_edges for p in sheaf.edge_ambient(e).pieces]
+        )
+        images = []
+        for d, secs in sections(sheaf, subset=below, max_degree=cap).items():
+            maps = [
+                (e.lower, sheaf.vertex_ambient(e.lower),
+                 sheaf.restriction_matrix(e.lower, e, d))
+                for e in up_edges
+            ]
+            for sec in secs:
+                vec = []
+                for y, amb, matrix in maps:
+                    yvec = amb.flatten(sec[y], d)
+                    vec.extend(sum(a * b for a, b in zip(row, yvec)) for row in matrix)
+                images.append(boundary.unflatten(vec, d))
+        out[w], _ = minimal_generators(GradedModuleRep(boundary, tuple(images), cap))
+    return out

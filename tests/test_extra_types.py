@@ -19,9 +19,9 @@ def test_g2_full_cross_validation():
     table = KLTable(group)
     dual = build_moment_graph(g2, group, dual=True)
     for base in group:
-        report = verify_against_inverse_kl(graph, base, table)
-        assert report.all_match
-        assert compute_bmp(dual, base).stalks == compute_bmp(graph, base).stalks
+        sheaf = compute_bmp(graph, base)
+        assert verify_against_inverse_kl(sheaf, table).all_match
+        assert compute_bmp(dual, base).stalks == sheaf.stalks
 
 
 def test_indefinite_rank_two_cross_validation():
@@ -31,7 +31,7 @@ def test_indefinite_rank_two_cross_validation():
     graph = build_moment_graph(hyp, ideal)
     table = KLTable(ideal)
     for base in ideal:
-        report = verify_against_inverse_kl(graph, base, table)
+        report = verify_against_inverse_kl(compute_bmp(graph, base), table)
         assert report.all_match
 
 
@@ -43,11 +43,12 @@ def test_affine_a2_nontrivial_stalks():
     graph = build_moment_graph(aff2, ideal)
     table = KLTable(ideal)
     base = parse_word(aff2, "1")
-    report = verify_against_inverse_kl(graph, base, table)
+    report = verify_against_inverse_kl(compute_bmp(graph, base), table)
     assert report.all_match
     nontrivial = [e for e in report.entries if e.stalk.degree >= 1]
     assert sorted(e.stalk.coeffs for e in nontrivial) == [(1, 1), (1, 1)]
-    report_e = verify_against_inverse_kl(graph, parse_word(aff2, "e"), table)
+    sheaf_e = compute_bmp(graph, parse_word(aff2, "e"))
+    report_e = verify_against_inverse_kl(sheaf_e, table)
     assert report_e.all_match
 
 
@@ -59,7 +60,7 @@ def test_b3_nontrivial_stalk_spot_check():
     graph = build_moment_graph(b3, group)
     table = KLTable(group)
     base = parse_word(b3, "1,3,2,1,3")
-    report = verify_against_inverse_kl(graph, base, table)
+    report = verify_against_inverse_kl(compute_bmp(graph, base), table)
     assert report.all_match
     nontrivial = [e for e in report.entries if e.stalk.degree >= 1]
     assert len(nontrivial) == 2

@@ -9,7 +9,6 @@ from kmflag.graded_algebra import (
     GradedModuleRep,
     ModuleAmbient,
     SPoly,
-    debug_dump,
     degree_basis,
     divide_by_linear,
     image_module,
@@ -176,18 +175,6 @@ def test_minimal_generators_presentation_independence():
         degs2, _ = minimal_generators(other)
         assert degs == degs2
         done += 1
-
-
-def test_debug_dump_round_trips_to_json():
-    import json
-
-    mixed = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(2, (1, -1))])
-    gens = ((x(0), SPoly.constant(2, 1)),)
-    doc = debug_dump(GradedModuleRep(mixed, gens, 8))
-    text = json.dumps(doc)
-    back = json.loads(text)
-    assert back["pieces"][1]["annihilator"] == [1, -1]
-    assert back["generators"][0][0] == [[[1, 0], "1"]]
 
 
 def test_image_module_contract():

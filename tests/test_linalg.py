@@ -1,0 +1,130 @@
+"""Properties of the exact elimination kernel in kmflag._linalg, and of the
+reflection test built on it."""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmflag._linalg import RowSpan, kernel_basis, solve_right
+from kmflag.root_datum import validate_cartan
+from kmflag.weyl import (
+    enumerate_ideal,
+    full_weyl_group,
+    inverse,
+    is_reflection,
+    multiply,
+    reflection,
+)
+
+from oracles import is_linear_reflection
+
+DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+entries = st.integers(-3, 3)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    """(rows, ncols) with 0..max_rows rows of 0..max_cols entries; some rows
+    are copies or multiples of earlier ones, so rank deficiency is common."""
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            c = draw(entries)
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows, ncols
+
+
+def _apply(rows, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
+def _rank(rows, ncols):
+    span = RowSpan(ncols)
+    for r in rows:
+        span.add(r)
+    return span.dim
+
+
+def _check_kernel(rows, ncols, kernel):
+    assert len(kernel) == ncols - _rank(rows, ncols)
+    assert _rank(kernel, ncols) == len(kernel)
+    for v in kernel:
+        assert len(v) == ncols
+        assert all(isinstance(x, int) for x in v)
+        assert not any(_apply(rows, v))
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        assert g == 1
+        assert next(x for x in v if x) > 0
+
+
+@DETERMINISTIC
+@given(matrices())
+def test_kernel_basis_spans_primitive_null_space(system):
+    rows, ncols = system
+    _check_kernel(rows, ncols, kernel_basis(rows, ncols))
+
+
+@DETERMINISTIC
+@given(matrices(), st.data())
+def test_solve_right_consistent(system, data):
+    rows, ncols = system
+    k = data.draw(st.integers(0, 3))
+    planted = [
+        data.draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)
+    ]
+    rhs = [_apply(rows, x) for x in planted]
+    xs, kernel = solve_right(rows, rhs, ncols)
+    assert len(xs) == k
+    for x, b in zip(xs, rhs):
+        assert len(x) == ncols
+        assert _apply(rows, x) == b
+    _check_kernel(rows, ncols, kernel)
+    assert kernel == kernel_basis(rows, ncols)
+
+
+@DETERMINISTIC
+@given(matrices(max_rows=5), st.data())
+def test_solve_right_inconsistent_raises(system, data):
+    # append a row c * r_j (or zero) whose right-hand side is off by delta
+    rows, ncols = system
+    if rows:
+        j = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(entries)
+        last = [c * x for x in rows[j]]
+    else:
+        j, c, last = None, 0, [0] * ncols
+    b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    delta = data.draw(st.integers(1, 3))
+    b_last = (c * b[j] if j is not None else 0) + delta
+    with pytest.raises(ValueError):
+        solve_right(rows + [last], [b + [b_last]], ncols)
+
+
+@pytest.mark.parametrize(
+    "cartan, bound",
+    [
+        ([[2, -1], [-2, 2]], None),
+        ([[2, -2], [-2, 2]], 4),
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 3),
+    ],
+    ids=["b2", "affine_a1", "hyperbolic"],
+)
+def test_is_reflection_matches_linear_oracle(cartan, bound):
+    datum = validate_cartan(cartan)
+    ideal = full_weyl_group(datum) if bound is None else enumerate_ideal(datum, bound)
+    for x in ideal:
+        for y in ideal:
+            t = multiply(y, inverse(x))
+            beta = is_reflection(t)
+            assert (beta is not None) == is_linear_reflection(t)
+            if beta is not None:
+                assert reflection(datum, beta) == t
