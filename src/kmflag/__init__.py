@@ -55,6 +55,7 @@ from .weyl import (
     identity,
     inverse,
     inversion_set,
+    lower_reflections,
     multiply,
     parse_word,
     reflection,

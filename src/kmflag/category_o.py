@@ -25,13 +25,7 @@ from .errors import (
 from .kl import KLTable
 from .moment_graph import MomentGraph
 from .root_datum import AFFINE, FINITE, RootDatum, height
-from .weyl import (
-    BruhatIdeal,
-    WeightCoords,
-    WeylElement,
-    bruhat_leq,
-    dot_action,
-)
+from .weyl import BruhatIdeal, WeightCoords, WeylElement, dot_action
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def irreducible_character(
     kp = _kostant_table(block.datum, depth)
     coeffs: dict = {}
     for y in table.ideal:
-        if not bruhat_leq(y, w):
+        if not table.ideal.leq(y, w):
             continue
         mult = table.kl_polynomial(y, w)(1)
         sign = -1 if (w.length() - y.length()) % 2 else 1

@@ -28,9 +28,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_SIZE_LIMIT = 100_000
-
-
 class _CliError(Exception):
     def __init__(self, message, code="UsageError", status=EXIT_VALIDATION):
         super().__init__(message)
@@ -56,8 +53,7 @@ class RunConfig:
     verify: bool = False
     format: str = "json"
     degree_cap_override: int | None = None
-    size_limit: int = DEFAULT_SIZE_LIMIT
-    threads: int = 1
+    size_limit: int = weyl_mod.DEFAULT_SIZE_LIMIT
 
 
 def _load_datum(config: RunConfig):
@@ -145,7 +141,7 @@ def _kl_rows(config: RunConfig, inverse: bool):
     rows = []
     for y in ideal:
         for w in ideal:
-            if not weyl_mod.bruhat_leq(y, w):
+            if not ideal.leq(y, w):
                 continue
             poly = table.inverse_kl(y, w) if inverse else table.kl_polynomial(y, w)
             rows.append((y, w, poly))
@@ -325,8 +321,6 @@ _COMMANDS = {
 
 def run(config: RunConfig):
     """Dispatch a validated configuration; returns (exit status, document)."""
-    if config.threads < 1:
-        raise _CliError("--threads must be >= 1")
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise _CliError(f"unknown command {config.command!r}")
@@ -344,8 +338,6 @@ def _build_parser() -> _Parser:
                        help='JSON file {"cartan": [[...]]}')
         p.add_argument("--size-limit", type=int, dest="size_limit",
                        default=None, help="element-count guard for enumerations")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; computations currently run sequentially")
         if max_length:
             p.add_argument("--max-length", "--ideal-max-length", type=int,
                            dest="max_length", required=True)
@@ -387,12 +379,11 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     size_limit = ns.size_limit
     if size_limit is None:
         env = os.environ.get("KMFLAG_SIZE_LIMIT")
-        size_limit = int(env) if env else DEFAULT_SIZE_LIMIT
+        size_limit = int(env) if env else weyl_mod.DEFAULT_SIZE_LIMIT
     fields = {
         "command": ns.command,
         "cartan_path": ns.cartan_path,
         "size_limit": size_limit,
-        "threads": ns.threads,
     }
     for name in ("max_length", "base", "element", "pairings", "depth", "dual",
                  "verify", "format", "degree_cap_override"):

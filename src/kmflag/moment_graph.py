@@ -23,15 +23,7 @@ from .graded_algebra import (
     reduce_mod_linear,
 )
 from .root_datum import RootDatum, RootVector
-from .weyl import (
-    BruhatIdeal,
-    WeylElement,
-    bruhat_leq,
-    format_word,
-    inverse,
-    is_reflection,
-    multiply,
-)
+from .weyl import BruhatIdeal, WeylElement, format_word
 
 
 @dataclass(frozen=True)
@@ -63,24 +55,11 @@ class MomentGraph:
 def build_moment_graph(
     datum: RootDatum, ideal: BruhatIdeal, dual: bool = False
 ) -> MomentGraph:
-    """Edges found by testing t = y x^{-1} for being a reflection, over all
-    ordered vertex pairs; this avoids enumerating the (possibly infinite)
+    """Edges (s_beta w, w) labeled beta, for each vertex w and each lower
+    reflection s_beta w < w that is again a vertex.  Only the finite
+    inversion sets of the vertices are read, never the (possibly infinite)
     set of real roots."""
-    elements = ideal.elements
-    edges = []
-    for a in range(len(elements)):
-        for b in range(a + 1, len(elements)):
-            x, y = elements[a], elements[b]
-            if x.length() == y.length():
-                continue
-            lo, hi = (x, y) if x.length() < y.length() else (y, x)
-            t = multiply(hi, inverse(lo))
-            beta = is_reflection(t)
-            if beta is None:
-                continue
-            if not bruhat_leq(lo, hi):
-                raise AssertionError("edge endpoints must be Bruhat comparable")
-            edges.append(Edge(lo, hi, beta))
+    edges = [Edge(y, w, beta) for w in ideal for beta, y in ideal.lower_reflections(w)]
     label_datum = datum
     if dual:
         label_datum = datum.langlands_dual()
@@ -218,10 +197,12 @@ def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> d
 
 
 def covering_relations(ideal: BruhatIdeal) -> list[tuple[WeylElement, WeylElement]]:
-    """(y, x) pairs with y covered by x inside the ideal."""
-    out = []
-    for y in ideal:
-        for x in ideal:
-            if x.length() == y.length() + 1 and bruhat_leq(y, x):
-                out.append((y, x))
+    """(y, x) pairs with y covered by x inside the ideal, in canonical order."""
+    out = [
+        (y, x)
+        for x in ideal
+        for _, y in ideal.lower_reflections(x)
+        if y.length() == x.length() - 1
+    ]
+    out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return out

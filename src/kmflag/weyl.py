@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._linalg import kernel_basis
-from .errors import NotInIdeal, NotRealRoot, SizeLimitExceeded, UnsupportedKind
+from .errors import (
+    IntervalNotContained,
+    NotInIdeal,
+    NotRealRoot,
+    SizeLimitExceeded,
+    UnsupportedKind,
+)
 from .root_datum import (
     FINITE,
     RootDatum,
@@ -248,6 +255,16 @@ def is_reflection(t: WeylElement) -> RootVector | None:
 # -- finite open ideals ---------------------------------------------------
 
 
+def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
+    """The pairs (beta, s_beta w), beta in the inversion set of w in sorted
+    order: exactly the reflections t with t w < w.  These relations generate
+    the Bruhat order (Bjorner-Brenti, GTM 231, ch. 2)."""
+    return [
+        (beta, multiply(reflection(w.datum, beta), w))
+        for beta in sorted(inversion_set(w))
+    ]
+
+
 @dataclass(frozen=True)
 class BruhatIdeal:
     """A finite downward-closed subset of the Weyl group."""
@@ -257,10 +274,10 @@ class BruhatIdeal:
     description: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_set", frozenset(self.elements))
+        object.__setattr__(self, "_pos", {w: k for k, w in enumerate(self.elements)})
 
     def __contains__(self, w) -> bool:
-        return w in self._set
+        return w in self._pos
 
     def __iter__(self):
         return iter(self.elements)
@@ -277,16 +294,44 @@ class BruhatIdeal:
             if w not in self:
                 raise NotInIdeal(f"element {format_word(w)} not in the ideal")
 
+    def lower_reflections(self, w) -> list[tuple[RootVector, WeylElement]]:
+        """The pairs of lower_reflections(w) whose lower element lies in the
+        set, given as the set's own element."""
+        return [
+            (beta, self.elements[self._pos[y]])
+            for beta, y in lower_reflections(w)
+            if y in self._pos
+        ]
+
+    @cached_property
+    def _below(self) -> dict | None:
+        """Each element's Bruhat lower set as a bitset over positions in
+        `elements`, built in length order; None if the set is not
+        downward closed."""
+        below = {}
+        for w in sorted(self.elements, key=WeylElement.length):
+            bits = 1 << self._pos[w]
+            for _, y in lower_reflections(w):
+                if y not in below:
+                    return None
+                bits |= below[y]
+            below[w] = bits
+        return below
+
     def is_downward_closed(self) -> bool:
-        """Check closure via single-letter deletions: every cover of an
-        element arises by deleting one letter of its canonical word."""
-        for w in self.elements:
-            word = w.reduced_word()
-            for p in range(len(word)):
-                sub = from_word(self.datum, word[:p] + word[p + 1 :])
-                if sub not in self:
-                    return False
-        return True
+        """Whether every lower reflection of every element stays in the set."""
+        return self._below is not None
+
+    def leq(self, y: WeylElement, w: WeylElement) -> bool:
+        """Bruhat order between two elements of the set, as a bit test."""
+        below = self._below
+        if below is None:
+            raise IntervalNotContained(f"{self.description} is not downward closed")
+        try:
+            return bool(below[w] >> self._pos[y] & 1)
+        except KeyError:
+            self.require(y, w)
+            raise
 
 
 def _canonical_sort(elements) -> tuple[WeylElement, ...]:
@@ -329,38 +374,25 @@ def full_weyl_group(
     """The whole Weyl group as an ideal (finite kind only)."""
     if datum.kind != FINITE:
         raise UnsupportedKind("full enumeration requires finite kind")
-    e = identity(datum)
-    found = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(datum.rank):
-                ws = multiply(w, simple_reflection(datum, i))
-                if ws not in found:
-                    found.add(ws)
-                    nxt.append(ws)
-                    if len(found) > size_limit:
-                        raise SizeLimitExceeded(f"group exceeds size limit {size_limit}")
-        frontier = nxt
-    return BruhatIdeal(datum, _canonical_sort(found), "full")
+    ideal = enumerate_ideal(datum, len(datum.positive_roots()), size_limit)
+    return BruhatIdeal(datum, ideal.elements, "full")
 
 
 def ideal_from_generators(
     datum: RootDatum, generators, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BruhatIdeal:
-    """Downward closure of explicit generators, via subword products."""
+    """Downward closure of explicit generators, by a downward search along
+    lower_reflections."""
     found = set()
-    for g in generators:
-        word = g.reduced_word()
-        n = len(word)
-        if n > 20:
-            raise SizeLimitExceeded("generator word too long for subword closure")
-        for mask in range(1 << n):
-            sub = tuple(word[k] for k in range(n) if mask >> k & 1)
-            found.add(from_word(datum, sub))
-            if len(found) > size_limit:
-                raise SizeLimitExceeded(f"ideal exceeds size limit {size_limit}")
+    stack = list(generators)
+    while stack:
+        w = stack.pop()
+        if w in found:
+            continue
+        found.add(w)
+        if len(found) > size_limit:
+            raise SizeLimitExceeded(f"ideal exceeds size limit {size_limit}")
+        stack.extend(y for _, y in lower_reflections(w))
     desc = "generators=" + ";".join(format_word(g) for g in generators)
     return BruhatIdeal(datum, _canonical_sort(found), desc)
 

@@ -127,17 +127,30 @@ def is_linear_reflection(t) -> bool:
     return rank == 1
 
 
+def reflection_pair_edges(ideal):
+    """{(lower, upper)} over all element pairs of the ideal with
+    upper = t . lower for a reflection t and l(lower) < l(upper), by the
+    pairwise scan with the linear reflection test."""
+    elems = list(ideal.elements)
+    out = set()
+    for a, x in enumerate(elems):
+        for y in elems[a + 1 :]:
+            if x.length() == y.length():
+                continue
+            lo, hi = (x, y) if x.length() < y.length() else (y, x)
+            if is_linear_reflection(multiply(hi, inverse(lo))):
+                out.add((lo, hi))
+    return out
+
+
 def bruhat_closure_oracle(ideal):
     """{(y, x) : y <= x} as the reflexive-transitive closure of covers."""
     elems = list(ideal.elements)
-    covers = set()
-    for y in elems:
-        for x in elems:
-            if x.length() != y.length() + 1:
-                continue
-            t = multiply(x, inverse(y))
-            if is_linear_reflection(t):
-                covers.add((y, x))
+    covers = {
+        (y, x)
+        for y, x in reflection_pair_edges(ideal)
+        if x.length() == y.length() + 1
+    }
     leq = {(x, x) for x in elems}
     leq |= covers
     changed = True

@@ -180,6 +180,12 @@ def test_unknown_flag_rejected(a2_file):
     assert json.loads(doc)["error_code"] == "UsageError"
 
 
+def test_threads_option_removed(a2_file):
+    status, doc = run_cli("kl", "--cartan", a2_file, "--max-length", "2", "--threads", "2")
+    assert status == 1
+    assert json.loads(doc)["error_code"] == "UsageError"
+
+
 def test_byte_determinism(a2_file):
     args = ("verify-kl", "--cartan", a2_file, "--max-length", "3")
     first = run_cli(*args)

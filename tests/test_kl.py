@@ -140,7 +140,7 @@ def test_not_in_ideal(a2, a2_table):
 
     small = KLTable(enumerate_ideal(a2, 1))
     w0 = from_word(a2, [0, 1, 0])
-    with pytest.raises(NotInIdeal):
+    with pytest.raises(NotInIdeal, match="element 1,2,1 not in the ideal"):
         small.kl_polynomial(identity(a2), w0)
 
 
@@ -149,3 +149,5 @@ def test_table_requires_downward_closed(a2):
     broken = BruhatIdeal(a2, (identity(a2), w0), "manual")
     with pytest.raises(IntervalNotContained):
         KLTable(broken)
+    with pytest.raises(IntervalNotContained):
+        broken.leq(identity(a2), w0)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmflag.errors import DegreeCapExceeded
 from kmflag.graded_algebra import SPoly
@@ -14,9 +16,12 @@ from kmflag.weyl import (
     bruhat_leq,
     enumerate_ideal,
     format_word,
+    full_weyl_group,
     identity,
     simple_reflection,
 )
+
+from oracles import reflection_pair_edges
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +177,49 @@ def test_affine_graph_edges(affine_a1, affine_a1_graph):
     }
     # the identity is reachable by reflections of every available length gap
     assert by_vertex["e"] >= 4
+
+
+def _check_edges_against_oracle(ideal):
+    graph = build_moment_graph(ideal.datum, ideal)
+    oracle = reflection_pair_edges(ideal)
+    pairs = [(e.lower, e.upper) for e in graph.edges]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == oracle
+    covers = covering_relations(ideal)
+    assert len(covers) == len(set(covers))
+    assert set(covers) == {(y, x) for y, x in oracle if x.length() == y.length() + 1}
+
+
+@pytest.mark.parametrize(
+    "cartan, bound",
+    [
+        ([[2, -1], [-2, 2]], None),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], None),
+        ([[2, -2], [-2, 2]], 6),
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 4),
+    ],
+    ids=["b2", "a3", "affine_a1", "hyperbolic"],
+)
+def test_edges_match_reflection_pair_scan(cartan, bound):
+    datum = validate_cartan(cartan)
+    ideal = full_weyl_group(datum) if bound is None else enumerate_ideal(datum, bound)
+    _check_edges_against_oracle(ideal)
+
+
+# [[2, -a], [-b, 2]] with a = 0 exactly when b = 0: finite, affine and
+# hyperbolic rank-2 matrices alike
+RANK2 = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(1, 4), st.integers(1, 4))
+)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(RANK2)
+def test_rank2_order_and_edges(ab):
+    a, b = ab
+    datum = validate_cartan([[2, -a], [-b, 2]])
+    ideal = enumerate_ideal(datum, 5)
+    for y in ideal:
+        for w in ideal:
+            assert ideal.leq(y, w) == bruhat_leq(y, w)
+    _check_edges_against_oracle(ideal)

@@ -4,6 +4,7 @@ import pytest
 
 from kmflag.errors import NotInIdeal, NotRealRoot, SizeLimitExceeded
 from kmflag.weyl import (
+    BruhatIdeal,
     WeightCoords,
     bruhat_leq,
     dot_action,
@@ -95,10 +96,9 @@ def test_bruhat_order_matches_covering_closure(cartan, max_length):
     oracle = bruhat_closure_oracle(ideal)
     for y in ideal:
         for x in ideal:
-            assert bruhat_leq(y, x) == ((y, x) in oracle), (
-                format_word(y),
-                format_word(x),
-            )
+            expected = (y, x) in oracle
+            assert bruhat_leq(y, x) == expected, (format_word(y), format_word(x))
+            assert ideal.leq(y, x) == expected, (format_word(y), format_word(x))
 
 
 def test_enumerate_ideal_counts(a2, affine_a1):
@@ -128,6 +128,23 @@ def test_ideal_from_generators(a2):
     assert len(j) == 3 and j.is_downward_closed()
     w0 = from_word(a2, [0, 1, 0])
     assert len(ideal_from_generators(a2, [w0])) == 6
+
+
+def test_ideal_from_long_generators(affine_a1):
+    tops = [from_word(affine_a1, [i, 1 - i] * 12) for i in (0, 1)]
+    assert all(g.length() == 24 for g in tops)
+    ideal = ideal_from_generators(affine_a1, tops)
+    assert len(ideal) == 49
+    assert ideal.elements == enumerate_ideal(affine_a1, 24).elements
+
+
+def test_downward_closed_matches_oracle_on_all_subsets(a2_group):
+    elems = a2_group.elements
+    oracle = bruhat_closure_oracle(a2_group)
+    for mask in range(1 << len(elems)):
+        subset = tuple(w for k, w in enumerate(elems) if mask >> k & 1)
+        expected = all(y in subset for y, x in oracle if x in subset)
+        assert BruhatIdeal(a2_group.datum, subset, "subset").is_downward_closed() == expected
 
 
 def test_reflection_matches_word(a2):
