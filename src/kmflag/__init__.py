@@ -11,6 +11,7 @@ from .bmp import (
 from .category_o import (
     BlockSpec,
     CharacterSeries,
+    SheafTable,
     antidominant_block,
     classify_weight,
     irreducible_character,

@@ -1,36 +1,64 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Vectors are plain lists of int or Fraction; results are normalized to
-primitive integer vectors where a scale-free answer makes sense.
+Vectors are plain lists of int or Fraction.  Elimination is fraction-free:
+every row operation replaces v by b*v - a*row, with a and b the two entries
+of the pivot column divided by their gcd, and then divides the result by
+the gcd of its entries, so integral inputs stay Python ints throughout.
+Results are the unique scale-free answers - primitive reduced row-echelon
+rows, primitive kernel vectors - and values read off as quotients a/b are
+ints whenever b divides a.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def primitive(vec):
     """Scale a rational vector to a primitive integer vector, first nonzero
     entry positive."""
-    scale = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) if isinstance(x, Fraction) else x * scale for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return [0] * len(vec)
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        g = -g
-    return [x // g for x in ints]
+    scale = lcm(*[x.denominator for x in vec])
+    if scale == 1:
+        ints = _content_free([x.numerator for x in vec])
+    else:
+        ints = _content_free([x.numerator * (scale // x.denominator) for x in vec])
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def _content_free(ints):
+    """An integer vector divided by the gcd of its entries; signs kept."""
+    g = gcd(*ints)
+    return ints if g <= 1 else [x // g for x in ints]
+
+
+def _ratio(a, b):
+    """a/b for integers, as an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _combine(v, row, p):
+    """b*v - a*row for integer rows, where a = v[p] and b = row[p] are
+    divided by their gcd, then divided by the gcd of its entries.  Column p
+    of the result is zero; when b > 0, entries where row is zero keep their
+    sign."""
+    a, b = v[p], row[p]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b == 1:
+        return _content_free([x - a * y if y else x for x, y in zip(v, row)])
+    return _content_free([b * x - a * y for x, y in zip(v, row)])
 
 
 class RowSpan:
-    """Incrementally maintained reduced row-echelon span of integer rows."""
+    """Incrementally maintained reduced row-echelon span of integer rows:
+    each row is primitive with a positive pivot, and every other row is
+    zero in its pivot column."""
 
     def __init__(self, width: int):
         self.width = width
@@ -42,12 +70,13 @@ class RowSpan:
         return len(self.rows)
 
     def residual(self, vec):
-        """Reduce a copy of vec against the span; exact, returns a new list."""
-        v = list(vec)
+        """An integer multiple of vec reduced against the span, with no
+        common factor; it vanishes exactly when vec lies in the span.
+        Returns a new list."""
+        v = primitive(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
-                f = Fraction(v[p], row[p])
-                v = [x - f * y if y else x for x, y in zip(v, row)]
+                v = _combine(v, row, p)
         return v
 
     def contains(self, vec) -> bool:
@@ -59,27 +88,26 @@ class RowSpan:
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        v = primitive(v)
-        for row in self.rows:
+        if v[p] < 0:
+            v = [-x for x in v]
+        rows = self.rows
+        for k, row in enumerate(rows):
             if row[p]:
-                f = Fraction(row[p], v[p])
-                for i in range(p, self.width):
-                    if v[i]:
-                        row[i] -= f * v[i]
-        # keep rows primitive integers after back-elimination
-        self.rows = [primitive(r) for r in self.rows]
+                rows[k] = _combine(row, v, p)
         pos = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(pos, v)
+        rows.insert(pos, v)
         self.pivots.insert(pos, p)
         return True
 
 
 def _rref(rows, ncols: int):
-    """Gauss-Jordan elimination over Q on the first ncols columns of a copy
-    of rows.  Returns (rows, pivots): row i < len(pivots) has a 1 in column
-    pivots[i] and zeros in every other pivot column; the remaining rows
-    vanish on the first ncols columns."""
-    rows = [list(r) for r in rows]
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns of
+    a copy of rows.  Returns (rows, pivots): every row is an integer row
+    with no common factor; row i < len(pivots) has a nonzero entry in
+    column pivots[i] and zeros in every other pivot column; the remaining
+    rows vanish on the first ncols columns.  Pivots are not scaled to 1,
+    so values are read off as quotients by them."""
+    rows = [primitive(r) for r in rows]
     m = len(rows)
     pivots = []
     r = 0
@@ -88,15 +116,10 @@ def _rref(rows, ncols: int):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        if pv != 1:
-            pv = Fraction(pv)
-            rows[r] = [x / pv if x else x for x in rows[r]]
         row_r = rows[r]
         for i in range(m):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], row_r)]
+                rows[i] = _combine(rows[i], row_r, col)
         pivots.append(col)
         r += 1
     return rows, pivots
@@ -113,7 +136,8 @@ def _null_vectors(rows, pivots, ncols: int):
         v = [0] * ncols
         v[free] = 1
         for row, p in zip(rows, pivots):
-            v[p] = -row[free]
+            if row[free]:
+                v[p] = _ratio(-row[free], row[p])
         basis.append(primitive(v))
     return basis
 
@@ -129,16 +153,18 @@ def solve_right(a_rows, rhs, ncols: int):
     elimination of [A | B].  A is given as rows of length ncols; each b has
     one entry per row of A.  Returns (xs, kernel): xs holds one solution per
     b with free coordinates zero, kernel the primitive basis of {v : A v = 0}.
+    A zero b solves to the zero vector and stays out of the elimination.
     Raises ValueError when some b is not in the column space of A."""
-    aug = [list(ar) + [b[i] for b in rhs] for i, ar in enumerate(a_rows)]
+    live = [s for s, b in enumerate(rhs) if any(b)]
+    aug = [list(ar) + [rhs[s][i] for s in live] for i, ar in enumerate(a_rows)]
     reduced, pivots = _rref(aug, ncols)
     for row in reduced[len(pivots):]:
         if any(row[ncols:]):
             raise ValueError("inconsistent linear system")
-    xs = []
-    for s in range(len(rhs)):
-        x = [0] * ncols
+    xs = [[0] * ncols for _ in rhs]
+    for j, s in enumerate(live):
+        x = xs[s]
         for row, col in zip(reduced, pivots):
-            x[col] = row[ncols + s]
-        xs.append(x)
+            if row[ncols + j]:
+                x[col] = _ratio(row[ncols + j], row[col])
     return xs, _null_vectors(reduced, pivots, ncols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bmp import compute_bmp, stalk_poincare
+from .bmp import BMPSheaf, compute_bmp, stalk_poincare
 from .errors import (
     CrossCheckFailed,
     NegativeCoefficient,
@@ -216,30 +216,35 @@ def jh_multiplicity(
     return table.inverse_kl(y, x)(1)
 
 
-_bmp_cache: dict = {}
+class SheafTable:
+    """Canonical sheaves on one moment graph, computed once per base vertex
+    and kept for the life of the table, as KLTable keeps KL polynomials."""
 
+    def __init__(self, graph: MomentGraph):
+        self.graph = graph
+        self._sheaves: dict = {}
 
-def _cached_bmp(graph: MomentGraph, w: WeylElement):
-    key = (graph, w)
-    got = _bmp_cache.get(key)
-    if got is None:
-        got = compute_bmp(graph, w)
-        _bmp_cache[key] = got
-    return got
+    def sheaf(self, base: WeylElement) -> BMPSheaf:
+        got = self._sheaves.get(base)
+        if got is None:
+            got = compute_bmp(self.graph, base)
+            self._sheaves[base] = got
+        return got
 
 
 def projective_verma_multiplicity(
     block: BlockSpec,
     w: WeylElement,
     x: WeylElement,
-    dual_graph: MomentGraph,
+    sheaves: SheafTable,
     table: KLTable,
 ) -> int:
     """(P(w.lambda) : Delta(x.lambda)) inside the truncation given by the
     graph's ideal: the stalk rank at x of the canonical sheaf based at w on
-    the Langlands-dual moment graph.  BGG reciprocity against the
-    Jordan-Holder multiplicity is enforced on every call."""
-    sheaf = _cached_bmp(dual_graph, w)
+    the Langlands-dual moment graph that the sheaf table is built on.  BGG
+    reciprocity against the Jordan-Holder multiplicity is enforced on every
+    call."""
+    sheaf = sheaves.sheaf(w)
     value = stalk_poincare(sheaf, x)(1)
     expected = jh_multiplicity(block, x, w, table)
     if value != expected:

@@ -277,13 +277,11 @@ def _cmd_multiplicities(config: RunConfig):
     )
     block = cat_mod.classify_weight(datum, pairings, ideal)
     table = KLTable(ideal)
-    dual_graph = build_moment_graph(datum, ideal, dual=True)
+    sheaves = cat_mod.SheafTable(build_moment_graph(datum, ideal, dual=True))
     rows = []
     for w in ideal:
         for x in ideal:
-            value = cat_mod.projective_verma_multiplicity(
-                block, w, x, dual_graph, table
-            )
+            value = cat_mod.projective_verma_multiplicity(block, w, x, sheaves, table)
             rows.append((_word(w), _word(x), value))
     if config.format == "csv":
         return EXIT_OK, _csv_doc(("w_word", "x_word", "multiplicity"), rows)

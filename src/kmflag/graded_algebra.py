@@ -233,11 +233,18 @@ def poly_ring(nvars: int) -> PolyRing:
     return PolyRing(nvars)
 
 
+def _integral(x):
+    """x as an int when it is a whole number."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class LinearQuotient:
     """Normal-form arithmetic in S/(alpha) for a linear form alpha.
 
     The first generator with a nonzero coefficient is substituted away, so
-    normal forms are spanned by the monomials avoiding it.
+    normal forms are spanned by the monomials avoiding it.  Substitution,
+    reduction and multiplication coefficients are ints whenever they are
+    integral, as they are when that generator's coefficient is +-1.
     """
 
     def __init__(self, ring: PolyRing, coords):
@@ -246,11 +253,13 @@ class LinearQuotient:
         self.elim = next(i for i, c in enumerate(coords) if c)
         cj = Fraction(coords[self.elim])
         self.sub = {
-            i: -Fraction(c) / cj for i, c in enumerate(coords) if c and i != self.elim
+            i: _integral(-Fraction(c) / cj)
+            for i, c in enumerate(coords)
+            if c and i != self.elim
         }
         self._reduced: dict[int, tuple] = {}
         self._reduced_index: dict[int, dict] = {}
-        self._powers: dict[int, dict] = {0: {(0,) * ring.nvars: Fraction(1)}}
+        self._powers: dict[int, dict] = {0: {(0,) * ring.nvars: 1}}
         self._mulmaps: dict = {}
 
     def reduced_monomials(self, k: int) -> tuple:
@@ -284,6 +293,7 @@ class LinearQuotient:
                         out[tgt] = v
                     else:
                         out.pop(tgt, None)
+            out = {mono: _integral(c) for mono, c in out.items()}
             self._powers[e] = out
             got = out
         return got
@@ -292,7 +302,7 @@ class LinearQuotient:
         """Normal form of a monomial as ((monomial, coeff), ...)."""
         e = exp[self.elim]
         if e == 0:
-            return ((exp, Fraction(1)),)
+            return ((exp, 1),)
         rest = tuple(x if i != self.elim else 0 for i, x in enumerate(exp))
         return tuple(
             (tuple(a + b for a, b in zip(rest, mono)), c)
@@ -343,7 +353,7 @@ class LinearQuotient:
             for m in self.reduced_monomials(k):
                 if var != self.elim:
                     tgt = tuple(e + (1 if i == var else 0) for i, e in enumerate(m))
-                    rows.append(((idx[tgt], Fraction(1)),))
+                    rows.append(((idx[tgt], 1),))
                 else:
                     row = []
                     for i, f in self.sub.items():
@@ -380,11 +390,12 @@ class ModuleAmbient:
         self.ring = poly_ring(nvars)
         self.pieces = tuple(pieces)
         self.quotients = tuple(
-            linear_quotient(nvars, tuple(Fraction(c) for c in p.annihilator))
+            linear_quotient(nvars, tuple(p.annihilator))
             if p.annihilator is not None
             else None
             for p in self.pieces
         )
+        self._dims: dict[int, tuple] = {}
 
     def _piece_k(self, piece: CyclicPiece, d: int):
         """Polynomial degree of the degree-d slice of a piece, or None."""
@@ -400,8 +411,13 @@ class ModuleAmbient:
         q = self.quotients[t]
         return len(self.ring.monomials(k)) if q is None else q.dim(k)
 
-    def dims(self, d: int) -> list[int]:
-        return [self.piece_dim(t, d) for t in range(len(self.pieces))]
+    def dims(self, d: int) -> tuple:
+        """Per-piece dimensions of the degree-d slice, computed once."""
+        got = self._dims.get(d)
+        if got is None:
+            got = tuple(self.piece_dim(t, d) for t in range(len(self.pieces)))
+            self._dims[d] = got
+        return got
 
     def dim(self, d: int) -> int:
         return sum(self.dims(d))
@@ -459,17 +475,18 @@ class ModuleAmbient:
 
     def mul_var_vec(self, vec, d: int, var: int):
         """Multiply a flattened degree-d vector by x_var (degree d+2)."""
-        out = [0] * self.dim(d + 2)
+        sdims = self.dims(d)
+        tdims = self.dims(d + 2)
+        out = [0] * sum(tdims)
         src_pos = 0
         tgt_pos = 0
         for t, piece in enumerate(self.pieces):
-            k = self._piece_k(piece, d)
-            tdim = self.piece_dim(t, d + 2)
-            if k is None:
-                tgt_pos += tdim
+            sdim = sdims[t]
+            if not sdim:
+                tgt_pos += tdims[t]
                 continue
+            k = (d - piece.shift) // 2
             q = self.quotients[t]
-            sdim = self.piece_dim(t, d)
             if q is None:
                 shift = self.ring.mul_var_map(k, var)
                 for i in range(sdim):
@@ -484,7 +501,7 @@ class ModuleAmbient:
                         for tgt, f in rows[i]:
                             out[tgt_pos + tgt] += c * f
             src_pos += sdim
-            tgt_pos += tdim
+            tgt_pos += tdims[t]
         return out
 
 

@@ -5,10 +5,13 @@ descent recursion, then P-polynomials extracted coefficientwise from
 q^(l(w)-l(x)) P(1/q) - P(q) = sum R_{x,y} P_{y,w}.  The Bruhat oracle is
 the reflexive-transitive closure of the covering relation.  Neither shares
 code with the package's recursions.  The BMP oracle recomputes sections
-from scratch at every vertex instead of carrying them incrementally.
+from scratch at every vertex instead of carrying them incrementally.  The
+linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
+where the package eliminates fraction-free.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
 from kmflag.kl import QPoly
@@ -230,3 +233,73 @@ def bmp_cover_degrees(result) -> dict:
                 images.append(boundary.unflatten(vec, d))
         out[w], _ = minimal_generators(GradedModuleRep(boundary, tuple(images), cap))
     return out
+
+
+def rref_over_q(rows, ncols: int):
+    """Gauss-Jordan elimination over Q on the first ncols columns of a copy
+    of rows.  Returns (rows, pivots): row i < len(pivots) has a 1 in column
+    pivots[i] and zeros in every other pivot column; the remaining rows
+    vanish on the first ncols columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def primitive_over_q(vec):
+    """The positive-leading primitive integer multiple of a rational vector."""
+    vec = [Fraction(x) for x in vec]
+    scale = lcm(1, *(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(0, *ints)
+    if g == 0:
+        return ints
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def kernel_over_q(rows, ncols: int):
+    """Primitive kernel basis of the rows, one vector per free column of
+    rref_over_q in increasing order."""
+    reduced, pivots = rref_over_q(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(primitive_over_q(v))
+    return basis
+
+
+def solve_over_q(a_rows, rhs, ncols: int):
+    """One solution of A x = b per right-hand side, free coordinates zero,
+    read off rref_over_q of [A | B]; None when the system is inconsistent."""
+    aug = [list(ar) + [b[i] for b in rhs] for i, ar in enumerate(a_rows)]
+    reduced, pivots = rref_over_q(aug, ncols)
+    if any(any(row[ncols:]) for row in reduced[len(pivots):]):
+        return None
+    xs = []
+    for s in range(len(rhs)):
+        x = [Fraction(0)] * ncols
+        for row, col in zip(reduced, pivots):
+            x[col] = row[ncols + s]
+        xs.append(x)
+    return xs

@@ -11,6 +11,7 @@ import pytest
 from kmflag.bmp import compute_bmp, verify_against_inverse_kl
 from kmflag.errors import CapBoundaryGenerator
 from kmflag.category_o import (
+    SheafTable,
     antidominant_block,
     irreducible_character,
     jh_multiplicity,
@@ -148,10 +149,10 @@ def test_criterion_6_bgg_reciprocity(a2_group, b2_group):
         datum = group.datum
         table = KLTable(group)
         block = antidominant_block(datum, group)
-        dual_graph = build_moment_graph(datum, group, dual=True)
+        sheaves = SheafTable(build_moment_graph(datum, group, dual=True))
         for w in group:
             for x in group:
-                value = projective_verma_multiplicity(block, w, x, dual_graph, table)
+                value = projective_verma_multiplicity(block, w, x, sheaves, table)
                 ok = ok and value == jh_multiplicity(block, x, w, table)
     _report(6, "BGG reciprocity holds on all A2 and B2 pairs", ok)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kmflag.category_o import (
+    SheafTable,
     antidominant_block,
     classify_weight,
     irreducible_character,
@@ -207,10 +208,10 @@ def test_bgg_reciprocity_exact(cartan):
     group = full_weyl_group(datum)
     table = KLTable(group)
     blk = antidominant_block(datum, group)
-    dual_graph = build_moment_graph(datum, group, dual=True)
+    sheaves = SheafTable(build_moment_graph(datum, group, dual=True))
     for w in group:
         for x in group:
-            value = projective_verma_multiplicity(blk, w, x, dual_graph, table)
+            value = projective_verma_multiplicity(blk, w, x, sheaves, table)
             assert value == jh_multiplicity(blk, x, w, table)
             assert value == table.inverse_kl(w, x)(1)
             if not bruhat_leq(w, x):
@@ -219,6 +220,6 @@ def test_bgg_reciprocity_exact(cartan):
 
 def test_projective_diagonal_is_one(a2, a2_group, a2_table):
     blk = antidominant_block(a2, a2_group)
-    dual_graph = build_moment_graph(a2, a2_group, dual=True)
+    sheaves = SheafTable(build_moment_graph(a2, a2_group, dual=True))
     for w in a2_group:
-        assert projective_verma_multiplicity(blk, w, w, dual_graph, a2_table) == 1
+        assert projective_verma_multiplicity(blk, w, w, sheaves, a2_table) == 1

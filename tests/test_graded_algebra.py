@@ -12,9 +12,13 @@ from kmflag.graded_algebra import (
     degree_basis,
     divide_by_linear,
     image_module,
+    linear_quotient,
     minimal_generators,
     reduce_mod_linear,
 )
+from kmflag.moment_graph import build_moment_graph
+from kmflag.root_datum import validate_cartan
+from kmflag.weyl import full_weyl_group
 
 
 def x(i, n=2):
@@ -188,3 +192,38 @@ def test_image_module_contract():
     assert minimal_generators(zero) == ((), [])
     with pytest.raises(DegreeMismatch):
         image_module(m, ((x(0), SPoly.zero(2)),), free2)
+
+
+def _normal_form_over_q(quot, exp):
+    """{reduced index: coefficient} of a monomial's remainder under
+    divide_by_linear, which works in Fraction arithmetic."""
+    _, rem = divide_by_linear(SPoly(len(exp), {exp: 1}), SPoly.linear(quot.coords))
+    idx = quot.reduced_index(sum(exp))
+    return {idx[m]: c for m, c in rem.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]],
+    ids=["a3", "b3"],
+)
+def test_unit_label_quotient_maps_are_int(cartan):
+    datum = validate_cartan(cartan)
+    graph = build_moment_graph(datum, full_weyl_group(datum))
+    labels = sorted({tuple(e.label) for e in graph.edges})
+    unit = [a for a in labels if abs(next(c for c in a if c)) == 1]
+    assert unit
+    n = datum.rank
+    for label in unit:
+        quot = linear_quotient(n, label)
+        for k in range(4):
+            for i, m in enumerate(quot.ring.monomials(k)):
+                row = quot.reduce_map_indexed(k)[i]
+                assert all(type(f) is int for _, f in row)
+                assert dict(row) == _normal_form_over_q(quot, m)
+            for var in range(n):
+                rows = quot.mul_var_map(k, var)
+                for m, row in zip(quot.reduced_monomials(k), rows):
+                    assert all(type(f) is int for _, f in row)
+                    up = tuple(e + (t == var) for t, e in enumerate(m))
+                    assert dict(row) == _normal_form_over_q(quot, up)

@@ -1,6 +1,7 @@
 """Properties of the exact elimination kernel in kmflag._linalg, and of the
 reflection test built on it."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,15 +19,22 @@ from kmflag.weyl import (
     reflection,
 )
 
-from oracles import is_linear_reflection
+from oracles import (
+    is_linear_reflection,
+    kernel_over_q,
+    primitive_over_q,
+    rref_over_q,
+    solve_over_q,
+)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
 entries = st.integers(-3, 3)
+fraction_entries = st.builds(Fraction, entries, st.integers(1, 3))
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=6):
+def matrices(draw, max_rows=6, max_cols=6, elements=entries):
     """(rows, ncols) with 0..max_rows rows of 0..max_cols entries; some rows
     are copies or multiples of earlier ones, so rank deficiency is common."""
     ncols = draw(st.integers(0, max_cols))
@@ -34,11 +42,14 @@ def matrices(draw, max_rows=6, max_cols=6):
     rows = []
     for _ in range(nrows):
         if rows and draw(st.booleans()):
-            c = draw(entries)
+            c = draw(elements)
             rows.append([c * x for x in draw(st.sampled_from(rows))])
         else:
-            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+            rows.append(draw(st.lists(elements, min_size=ncols, max_size=ncols)))
     return rows, ncols
+
+
+any_matrices = st.one_of(matrices(), matrices(elements=fraction_entries))
 
 
 def _apply(rows, vec):
@@ -57,36 +68,52 @@ def _check_kernel(rows, ncols, kernel):
     assert _rank(kernel, ncols) == len(kernel)
     for v in kernel:
         assert len(v) == ncols
-        assert all(isinstance(x, int) for x in v)
+        assert all(type(x) is int for x in v)
         assert not any(_apply(rows, v))
         g = 0
         for x in v:
             g = gcd(g, x)
         assert g == 1
         assert next(x for x in v if x) > 0
+    assert kernel == kernel_over_q(rows, ncols)
+
+
+def _ints_where_integral(vec):
+    """Every integral entry is an int; a non-integral one is a Fraction."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in vec
+    )
 
 
 @DETERMINISTIC
-@given(matrices())
+@given(any_matrices)
 def test_kernel_basis_spans_primitive_null_space(system):
     rows, ncols = system
     _check_kernel(rows, ncols, kernel_basis(rows, ncols))
 
 
 @DETERMINISTIC
-@given(matrices(), st.data())
+@given(any_matrices, st.data())
 def test_solve_right_consistent(system, data):
+    # planted solutions, with zero right-hand sides mixed in
     rows, ncols = system
-    k = data.draw(st.integers(0, 3))
-    planted = [
-        data.draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)
-    ]
-    rhs = [_apply(rows, x) for x in planted]
+    rhs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            rhs.append([0] * len(rows))
+        else:
+            x = data.draw(st.lists(st.one_of(entries, fraction_entries),
+                                   min_size=ncols, max_size=ncols))
+            rhs.append(_apply(rows, x))
     xs, kernel = solve_right(rows, rhs, ncols)
-    assert len(xs) == k
+    assert len(xs) == len(rhs)
     for x, b in zip(xs, rhs):
         assert len(x) == ncols
         assert _apply(rows, x) == b
+        assert _ints_where_integral(x)
+        if not any(b):
+            assert x == [0] * ncols
+    assert xs == solve_over_q(rows, rhs, ncols)
     _check_kernel(rows, ncols, kernel)
     assert kernel == kernel_basis(rows, ncols)
 
@@ -107,6 +134,20 @@ def test_solve_right_inconsistent_raises(system, data):
     b_last = (c * b[j] if j is not None else 0) + delta
     with pytest.raises(ValueError):
         solve_right(rows + [last], [b + [b_last]], ncols)
+
+
+@DETERMINISTIC
+@given(any_matrices)
+def test_rowspan_rows_are_primitive_oracle_rows(system):
+    rows, ncols = system
+    span = RowSpan(ncols)
+    for r in rows:
+        span.add(r)
+    reduced, pivots = rref_over_q(rows, ncols)
+    assert span.rows == [primitive_over_q(r) for r in reduced[: len(pivots)]]
+    assert span.pivots == pivots
+    assert all(type(x) is int for row in span.rows for x in row)
+    assert all(span.contains(r) for r in rows)
 
 
 @pytest.mark.parametrize(
