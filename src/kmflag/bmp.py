@@ -14,6 +14,10 @@ incrementally.  The image over the processed prefix equals the image over
 bmp_cover_degrees in tests/oracles.py checks that claim: it recomputes the
 sections over {y < w} from scratch with moment_graph.sections and covers
 their image at every support vertex.
+
+Stalks and edge modules are the sheaf's own ModuleAmbients, filled in as
+the sweep goes; ModuleAmbient.reduce_free pushes a stalk component into an
+edge module, and the boundary module at w is the sum of its lower edges'.
 """
 
 from __future__ import annotations
@@ -22,15 +26,7 @@ from dataclasses import dataclass
 
 from ._linalg import solve_right
 from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
-from .graded_algebra import (
-    CyclicPiece,
-    ModuleAmbient,
-    SPoly,
-    cover_step,
-    linear_quotient,
-    monomial_multiples,
-    poly_ring,
-)
+from .graded_algebra import ModuleAmbient, SPoly, cover_step, monomial_multiples
 from .kl import KLTable, QPoly
 from .moment_graph import GraphSheaf, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
@@ -82,42 +78,6 @@ def _support_in_order(graph, base, order):
     return given
 
 
-class _FreeStalk:
-    """Degreewise coordinates of a graded free module with given shifts."""
-
-    def __init__(self, ring, shifts):
-        self.ring = ring
-        self.shifts = shifts
-
-    def blocks(self, d):
-        """(shift, polynomial degree, block size) per live piece."""
-        out = []
-        for s in self.shifts:
-            rel = d - s
-            if rel >= 0 and rel % 2 == 0:
-                out.append((s, rel // 2, len(self.ring.monomials(rel // 2))))
-        return out
-
-    def dim(self, d):
-        return sum(b[2] for b in self.blocks(d))
-
-
-def _reduce_to_edge(nvars, label, stalk: _FreeStalk, vec, d):
-    """Push a flattened free-stalk vector into the edge quotient S/(label)."""
-    quot = linear_quotient(nvars, tuple(label))
-    out = []
-    pos = 0
-    for _, k, size in stalk.blocks(d):
-        out.extend(quot.reduce_vec_indexed(vec[pos : pos + size], k))
-        pos += size
-    return out
-
-
-def _edge_dim(nvars, label, stalk: _FreeStalk, d):
-    quot = linear_quotient(nvars, tuple(label))
-    return sum(quot.dim(k) for _, k, _ in stalk.blocks(d))
-
-
 def compute_bmp(
     graph: MomentGraph,
     base: WeylElement,
@@ -132,87 +92,43 @@ def compute_bmp(
         raise ValueError("degree cap must be even and nonnegative")
     support = _support_in_order(graph, base, order)
     nvars = graph.label_datum.rank
-    ring = poly_ring(nvars)
-    degrees = list(range(0, cap + 1, 2))
+    degrees = range(0, cap + 1, 2)
 
-    stalk_of: dict = {}
-    vertex_shifts = {v: () for v in graph.vertices}
+    shifts = {v: () for v in graph.vertices}
     edge_shifts: dict = {}
     restrictions: dict = {}
-    # per degree: per processed vertex, one component row per section
+    sheaf = GraphSheaf(graph, nvars, shifts, edge_shifts, restrictions, cap)
+    # per processed vertex and degree: the stalk component of each section
+    # existing then; sections born later are zero there
     comp: dict = {}
-    nsec = {d: 0 for d in degrees}
-    reduced_cache: dict = {}
 
-    def reduced_rows(e, d, want):
-        """Edge-reduced section components at e.lower, lazily extended;
-        sections born after e.lower have zero components there."""
-        key = (e, d)
-        rows = reduced_cache.setdefault(key, [])
-        y = e.lower
-        stalk = stalk_of[y]
-        src = comp[y][d]
-        zero_width = None
-        for s in range(len(rows), want):
-            if s < len(src):
-                rows.append(_reduce_to_edge(nvars, e.label, stalk, src[s], d))
-            else:
-                if zero_width is None:
-                    zero_width = _edge_dim(nvars, e.label, stalk, d)
-                rows.append([0] * zero_width)
-        return rows
+    shifts[base] = (0,)
+    nsec = {d: sheaf.vertex_ambient(base).dim(d) for d in degrees}
+    comp[base] = {
+        d: [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        for d, n in nsec.items()
+    }
 
-    first = True
-    for w in support:
-        if first:
-            stalk_of[w] = _FreeStalk(ring, (0,))
-            vertex_shifts[w] = (0,)
-            comp[w] = {}
-            for d in degrees:
-                dim = len(ring.monomials(d // 2))
-                comp[w][d] = [
-                    [1 if i == j else 0 for i in range(dim)] for j in range(dim)
-                ]
-                nsec[d] = dim
-            first = False
-            continue
-
-        d_edges = [e for e in graph.edges if e.upper == w and e.lower in stalk_of]
-        pieces = []
-        edge_piece_ranges = []
-        for e in d_edges:
-            start = len(pieces)
-            pieces.extend(CyclicPiece(s, e.label) for s in stalk_of[e.lower].shifts)
-            edge_piece_ranges.append((start, len(pieces)))
-        boundary_amb = ModuleAmbient(nvars, pieces)
-
-        def edge_offsets(d):
-            dims = boundary_amb.dims(d)
-            offs = []
-            pos = 0
-            for start, end in edge_piece_ranges:
-                offs.append(pos)
-                pos += sum(dims[start:end])
-            return offs
+    for w in support[1:]:
+        d_edges = [e for e in graph.edges if e.upper == w and e.lower in comp]
+        edge_shifts.update((e, shifts[e.lower]) for e in d_edges)
+        edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
+        boundary = ModuleAmbient(nvars, [p for amb in edge_ambs for p in amb.pieces])
 
         new_gens: list[tuple[int, list]] = []
         image_basis_prev: list = []
         comp[w] = {}
         for d in degrees:
-            width = boundary_amb.dim(d)
-            offs = edge_offsets(d)
-            per_edge = [reduced_rows(e, d, nsec[d]) for e in d_edges]
-            pi_rows = []
-            for s in range(nsec[d]):
-                row = [0] * width
-                for off, rows in zip(offs, per_edge):
-                    red = rows[s]
-                    for i, val in enumerate(red):
-                        row[off + i] = val
-                pi_rows.append(row)
+            # a section's boundary row is its edge images in edge order
+            pi_rows = [[] for _ in range(nsec[d])]
+            for e, amb in zip(d_edges, edge_ambs):
+                src = comp[e.lower][d]
+                zero = [0] * amb.dim(d)
+                for s, row in enumerate(pi_rows):
+                    row.extend(amb.reduce_free(src[s], d) if s < len(src) else zero)
 
             image_basis_prev, fresh = cover_step(
-                boundary_amb, image_basis_prev, pi_rows, d, cap,
+                boundary, image_basis_prev, pi_rows, d, cap,
                 where=f" at {format_word(w)}",
             )
             new_gens.extend((d, pi_rows[i]) for i in fresh)
@@ -222,59 +138,36 @@ def compute_bmp(
             gen_cols = [
                 col
                 for dgen, vec in new_gens
-                for col in monomial_multiples(boundary_amb, vec, dgen, d)
+                for col in monomial_multiples(boundary, vec, dgen, d)
             ]
-            g_rows = [[col[r] for col in gen_cols] for r in range(width)]
+            g_rows = [[col[r] for col in gen_cols] for r in range(boundary.dim(d))]
             lifts, kernel = solve_right(g_rows, pi_rows, len(gen_cols))
             comp[w][d] = lifts + kernel
             nsec[d] += len(kernel)
 
-        shifts_w = tuple(d for d, _ in new_gens)
-        stalk_of[w] = _FreeStalk(ring, shifts_w)
-        vertex_shifts[w] = shifts_w
-
+        shifts[w] = tuple(d for d, _ in new_gens)
+        images = [boundary.unflatten(vec, d) for d, vec in new_gens]
+        start = 0
         for e in d_edges:
-            lower_shifts = stalk_of[e.lower].shifts
-            edge_shifts[e] = lower_shifts
-            restrictions[(e.lower, e)] = tuple(
-                tuple(
-                    SPoly.constant(nvars, 1) if t == t0 else SPoly.zero(nvars)
-                    for t in range(len(lower_shifts))
-                )
-                for t0 in range(len(lower_shifts))
-            )
-        upper_images = {e: [] for e in d_edges}
-        for dgen, vec in new_gens:
-            offs = edge_offsets(dgen)
-            for e, off in zip(d_edges, offs):
-                quot = linear_quotient(nvars, tuple(e.label))
-                parts = []
-                pos = off
-                for s in stalk_of[e.lower].shifts:
-                    rel = dgen - s
-                    if rel < 0 or rel % 2:
-                        parts.append(SPoly.zero(nvars))
-                        continue
-                    monos = quot.reduced_monomials(rel // 2)
-                    block = vec[pos : pos + len(monos)]
-                    pos += len(monos)
-                    parts.append(SPoly(nvars, dict(zip(monos, block))))
-                upper_images[e].append(tuple(parts))
-        for e in d_edges:
-            restrictions[(w, e)] = tuple(upper_images[e])
+            end = start + len(edge_shifts[e])
+            restrictions[(w, e)] = tuple(img[start:end] for img in images)
+            start = end
 
-    # edges whose lower endpoint is off the support carry the zero module
+    # the lower end restricts by the identity; edges whose lower end is off
+    # the support carry the zero module
     for e in graph.edges:
         if e not in edge_shifts:
-            if e.lower in stalk_of:
+            if e.lower in comp:
                 raise AssertionError("support edge left unprocessed")
             edge_shifts[e] = ()
-            restrictions[(e.lower, e)] = ()
-            restrictions[(e.upper, e)] = tuple(() for _ in vertex_shifts[e.upper])
+            restrictions[(e.upper, e)] = tuple(() for _ in shifts[e.upper])
+        n = len(edge_shifts[e])
+        restrictions[(e.lower, e)] = tuple(
+            tuple(SPoly.constant(nvars, 1 if t == t0 else 0) for t in range(n))
+            for t0 in range(n)
+        )
 
-    out_sheaf = GraphSheaf(graph, nvars, vertex_shifts, edge_shifts, restrictions, cap)
-    stalks = {v: vertex_shifts[v] for v in graph.vertices}
-    return BMPSheaf(base, graph, stalks, out_sheaf, cap)
+    return BMPSheaf(base, graph, dict(shifts), sheaf, cap)
 
 
 # -- cross-validation -------------------------------------------------------

@@ -49,6 +49,15 @@ class BlockSpec:
         return WeightCoords.base(self.pairings)
 
 
+def _require_block(block: BlockSpec, undecided_ok: bool = False) -> None:
+    """PredicateViolation unless all four block predicates hold;
+    undecided_ok accepts noncritical None, as for indefinite data."""
+    for name in ("integral", "regular", "antidominant", "noncritical"):
+        value = getattr(block, name)
+        if value is not True and not (undecided_ok and value is None):
+            raise PredicateViolation(f"block is not {name}")
+
+
 def _is_integer(x) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
@@ -175,9 +184,7 @@ def irreducible_character(
 ) -> CharacterSeries:
     """Alternating sum of Verma characters below w with KL evaluations at 1
     as multiplicities; every resulting coefficient must be nonnegative."""
-    for name in ("integral", "regular", "antidominant", "noncritical"):
-        if getattr(block, name) is not True:
-            raise PredicateViolation(f"block is not {name}")
+    _require_block(block)
     lam = block.base_weight()
     base_w = dot_action(w, lam)
     kp = _kostant_table(block.datum, depth)
@@ -243,7 +250,8 @@ def projective_verma_multiplicity(
     graph's ideal: the stalk rank at x of the canonical sheaf based at w on
     the Langlands-dual moment graph that the sheaf table is built on.  BGG
     reciprocity against the Jordan-Holder multiplicity is enforced on every
-    call."""
+    call, on an integral, regular, antidominant, not critical block."""
+    _require_block(block, undecided_ok=True)
     sheaf = sheaves.sheaf(w)
     value = stalk_poincare(sheaf, x)(1)
     expected = jh_multiplicity(block, x, w, table)

@@ -387,6 +387,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
                  "verify", "format", "degree_cap_override"):
         if hasattr(ns, name):
             fields[name] = getattr(ns, name)
+    if fields.get("depth", 0) < 0:
+        raise _CliError("--depth must be nonnegative")
     return RunConfig(**fields)
 
 

@@ -473,6 +473,21 @@ class ModuleAmbient:
             out.append(SPoly(self.nvars, dict(zip(monos, block))))
         return tuple(out)
 
+    def reduce_free(self, vec, d: int):
+        """Image of a flattened degree-d vector of the free module on the
+        same shifts: each live block is reduced by its piece's quotient."""
+        out = []
+        pos = 0
+        for piece, q in zip(self.pieces, self.quotients):
+            k = self._piece_k(piece, d)
+            if k is None:
+                continue
+            size = len(self.ring.monomials(k))
+            block = vec[pos : pos + size]
+            pos += size
+            out.extend(block if q is None else q.reduce_vec_indexed(block, k))
+        return out
+
     def mul_var_vec(self, vec, d: int, var: int):
         """Multiply a flattened degree-d vector by x_var (degree d+2)."""
         sdims = self.dims(d)

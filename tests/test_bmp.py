@@ -112,15 +112,21 @@ def test_order_validation(a2, a2_graph):
         compute_bmp(a2_graph, e, order=support[:-1])
 
 
-def test_strict_mode_agrees(a2_graph, b2_graph, b2, b2_group, affine_a1):
+def test_strict_mode_agrees(a2_graph, b2_graph, b2, b2_group, affine_a1, a3, a3_graph):
     small_affine = enumerate_ideal(affine_a1, 4)
     affine_graph = build_moment_graph(affine_a1, small_affine)
     b2_dual = build_moment_graph(b2, b2_group, dual=True)
-    for graph in (a2_graph, b2_graph, b2_dual, affine_graph):
-        for base in graph.vertices:
-            fast = compute_bmp(graph, base)
-            support = {w: s for w, s in fast.stalks.items() if bruhat_leq(base, w)}
-            assert bmp_cover_degrees(fast) == support, format_word(base)
+    cases = [
+        (graph, base)
+        for graph in (a2_graph, b2_graph, b2_dual, affine_graph)
+        for base in graph.vertices
+    ]
+    # two stalks of rank 2
+    cases.append((a3_graph, from_word(a3, [0, 2])))
+    for graph, base in cases:
+        fast = compute_bmp(graph, base)
+        support = {w: s for w, s in fast.stalks.items() if bruhat_leq(base, w)}
+        assert bmp_cover_degrees(fast) == support, format_word(base)
 
 
 def test_dual_graph_same_ranks(a2, a2_graph, b2, b2_group, b2_graph):
@@ -154,15 +160,24 @@ def test_default_cap_formula(a3_graph, a2_graph):
     assert default_degree_cap(a2_graph, w0) == 4
 
 
-def test_sheaf_restrictions_are_surjective(a2, a2_graph):
+# A2 from e has stalks of rank 1 only; A3 from s2 has four of rank 2
+SHEAF_CASES = pytest.mark.parametrize(
+    "graph_fixture, base_word", [("a2_graph", []), ("a3_graph", [1])], ids=["a2-e", "a3-2"]
+)
+
+
+@SHEAF_CASES
+def test_sheaf_restrictions_are_surjective(graph_fixture, base_word, request):
     # property (3) of the canonical sheaf: sections over the whole ideal
     # surject onto sections over any smaller downward-closed subset
     from kmflag._linalg import RowSpan
 
-    base = identity(a2)
-    sheaf = compute_bmp(a2_graph, base).sheaf
+    graph = request.getfixturevalue(graph_fixture)
+    base = from_word(graph.datum, base_word)
+    sheaf = compute_bmp(graph, base).sheaf
     opens = [
-        [v for v in a2_graph.vertices if v.length() <= bound] for bound in (0, 1, 2)
+        [v for v in graph.vertices if v.length() <= bound]
+        for bound in range(graph.ideal.max_length)
     ]
     full = sections(sheaf, max_degree=4)
     for subset in opens:
@@ -179,16 +194,16 @@ def test_sheaf_restrictions_are_surjective(a2, a2_graph):
             assert restricted.dim == len(sub[d])
 
 
-def test_sheaf_sections_surject_onto_stalks(a2, a2_graph):
+@SHEAF_CASES
+def test_sheaf_sections_surject_onto_stalks(graph_fixture, base_word, request):
     # property (4) of the canonical sheaf: global sections surject onto
     # every stalk in each degree
     from kmflag._linalg import RowSpan
 
-    base = identity(a2)
-    result = compute_bmp(a2_graph, base)
-    sheaf = result.sheaf
+    graph = request.getfixturevalue(graph_fixture)
+    sheaf = compute_bmp(graph, from_word(graph.datum, base_word)).sheaf
     secs = sections(sheaf, max_degree=4)
-    for w in a2_graph.vertices:
+    for w in graph.vertices:
         amb = sheaf.vertex_ambient(w)
         for d in (0, 2, 4):
             dim = amb.dim(d)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import height, validate_cartan
 from kmflag.weyl import (
     bruhat_leq,
+    enumerate_ideal,
     from_word,
     full_weyl_group,
     identity,
@@ -216,6 +218,30 @@ def test_bgg_reciprocity_exact(cartan):
             assert value == table.inverse_kl(w, x)(1)
             if not bruhat_leq(w, x):
                 assert value == 0
+
+
+def test_projective_multiplicity_predicates(a2, a2_group, a2_table):
+    sheaves = SheafTable(build_moment_graph(a2, a2_group, dual=True))
+    e = identity(a2)
+    s1 = simple_reflection(a2, 0)
+    good = antidominant_block(a2, a2_group)
+    for block in (
+        classify_weight(a2, (0, 0), a2_group),
+        classify_weight(a2, (-1, -2), a2_group),
+        classify_weight(a2, (Fraction(-1, 2), -2), a2_group),
+        replace(good, noncritical=False),
+    ):
+        with pytest.raises(PredicateViolation):
+            projective_verma_multiplicity(block, e, s1, sheaves, a2_table)
+    # indefinite data leaves noncritical undecided, which is accepted
+    indef = validate_cartan([[2, -3], [-3, 2]])
+    ideal = enumerate_ideal(indef, 2)
+    block = classify_weight(indef, (-2, -2), ideal)
+    assert block.noncritical is None
+    indef_sheaves = SheafTable(build_moment_graph(indef, ideal, dual=True))
+    base = identity(indef)
+    value = projective_verma_multiplicity(block, base, base, indef_sheaves, KLTable(ideal))
+    assert value == 1
 
 
 def test_projective_diagonal_is_one(a2, a2_group, a2_table):

@@ -127,6 +127,28 @@ def test_multiplicities_table(a2_file):
     assert len(lines) == 1 + 36
 
 
+def test_multiplicities_needs_regular_antidominant_block(a2_file):
+    # the dominant Verma Delta(0) is projective, so the pairing 0,0 must not
+    # report (P(e.0) : Delta(s1.0)) = 1; -1,-2 is singular
+    for pairings in ("0,0", "-1,-2"):
+        status, doc = run_cli(
+            "multiplicities", "--cartan", a2_file, "--max-length", "2",
+            "--pairings", pairings,
+        )
+        assert status == 1
+        assert json.loads(doc)["error_code"] == "PredicateViolation"
+
+
+def test_negative_depth_rejected(a2_file, affine_file):
+    for args in (
+        ("characters", "--cartan", a2_file, "--pairings", "-2,-2", "--depth", "-1"),
+        ("roots", "--cartan", affine_file, "--depth", "-3"),
+    ):
+        status, doc = run_cli(*args)
+        assert status == 1
+        assert json.loads(doc)["error_code"] == "UsageError"
+
+
 def test_strata_command(a2_file):
     status, doc = run_cli("strata", "--cartan", a2_file, "--max-length", "3")
     payload = json.loads(doc)

@@ -227,3 +227,26 @@ def test_unit_label_quotient_maps_are_int(cartan):
                     assert all(type(f) is int for _, f in row)
                     up = tuple(e + (t == var) for t, e in enumerate(m))
                     assert dict(row) == _normal_form_over_q(quot, up)
+
+
+def test_reduce_free_matches_piecewise_reduction():
+    # unit label (1, -1), non-unit label (2, 3), a free piece, and shifts of
+    # both parities, so every degree has dead pieces
+    pieces = [
+        CyclicPiece(0, (1, -1)),
+        CyclicPiece(2, (2, 3)),
+        CyclicPiece(1, (1, -1)),
+        CyclicPiece(2),
+        CyclicPiece(5, (2, 3)),
+    ]
+    amb = ModuleAmbient(2, pieces)
+    free = ModuleAmbient(2, [CyclicPiece(p.shift) for p in pieces])
+    rng = random.Random(11)
+    for d in range(9):
+        vec = [rng.randint(-3, 3) for _ in range(free.dim(d))]
+        element = tuple(
+            p if piece.annihilator is None
+            else reduce_mod_linear(p, SPoly.linear(piece.annihilator))
+            for p, piece in zip(free.unflatten(vec, d), pieces)
+        )
+        assert amb.reduce_free(vec, d) == amb.flatten(element, d), d
