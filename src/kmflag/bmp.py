@@ -18,6 +18,7 @@ their image at every support vertex.
 Stalks and edge modules are the sheaf's own ModuleAmbients, filled in as
 the sweep goes; ModuleAmbient.reduce_free pushes a stalk component into an
 edge module, and the boundary module at w is the sum of its lower edges'.
+A new generator's restrictions are the slices of its boundary row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from ._linalg import solve_right
 from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
-from .graded_algebra import ModuleAmbient, SPoly, cover_step, monomial_multiples
+from .graded_algebra import ModuleAmbient, cover_step, monomial_multiples
 from .kl import KLTable, QPoly
 from .moment_graph import GraphSheaf, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
@@ -39,7 +40,8 @@ class BMPSheaf:
     graph: MomentGraph
     #: vertex -> tuple of generator degrees (ascending); empty off support
     stalks: dict
-    #: generator representatives and edge maps, consumable by sections()
+    #: stalk and edge shifts, and restrictions as flattened generator
+    #: images in the edge modules; consumable by sections()
     sheaf: GraphSheaf
     degree_cap: int
 
@@ -145,27 +147,29 @@ def compute_bmp(
             comp[w][d] = lifts + kernel
             nsec[d] += len(kernel)
 
+        # a new generator restricts to e by its boundary row's slice on e;
+        # the lower end restricts by the identity, generator t to piece t's 1
         shifts[w] = tuple(d for d, _ in new_gens)
-        images = [boundary.unflatten(vec, d) for d, vec in new_gens]
-        start = 0
-        for e in d_edges:
-            end = start + len(edge_shifts[e])
-            restrictions[(w, e)] = tuple(img[start:end] for img in images)
-            start = end
+        for e, amb in zip(d_edges, edge_ambs):
+            restrictions[(w, e)] = []
+            restrictions[(e.lower, e)] = [
+                [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
+                for t, s in enumerate(edge_shifts[e])
+            ]
+        for d, vec in new_gens:
+            start = 0
+            for e, amb in zip(d_edges, edge_ambs):
+                restrictions[(w, e)].append(vec[start : start + amb.dim(d)])
+                start += amb.dim(d)
 
-    # the lower end restricts by the identity; edges whose lower end is off
-    # the support carry the zero module
+    # edges whose lower end is off the support carry the zero module
     for e in graph.edges:
         if e not in edge_shifts:
             if e.lower in comp:
                 raise AssertionError("support edge left unprocessed")
             edge_shifts[e] = ()
-            restrictions[(e.upper, e)] = tuple(() for _ in shifts[e.upper])
-        n = len(edge_shifts[e])
-        restrictions[(e.lower, e)] = tuple(
-            tuple(SPoly.constant(nvars, 1 if t == t0 else 0) for t in range(n))
-            for t0 in range(n)
-        )
+            restrictions[(e.upper, e)] = [[] for _ in shifts[e.upper]]
+            restrictions[(e.lower, e)] = []
 
     return BMPSheaf(base, graph, dict(shifts), sheaf, cap)
 

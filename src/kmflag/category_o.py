@@ -184,10 +184,12 @@ def irreducible_character(
 ) -> CharacterSeries:
     """Alternating sum of Verma characters below w with KL evaluations at 1
     as multiplicities; every resulting coefficient must be nonnegative."""
+    # indefinite data leaves noncritical undecided; unsupported partition
+    # counts are the real obstacle there, so they are checked first
+    kp = _kostant_table(block.datum, depth)
     _require_block(block)
     lam = block.base_weight()
     base_w = dot_action(w, lam)
-    kp = _kostant_table(block.datum, depth)
     coeffs: dict = {}
     for y in table.ideal:
         if not table.ideal.leq(y, w):

@@ -72,8 +72,6 @@ def _load_datum(config: RunConfig):
 
 
 def _ideal(datum, config: RunConfig):
-    if config.max_length is None:
-        raise _CliError("--max-length is required")
     return weyl_mod.enumerate_ideal(datum, config.max_length, config.size_limit)
 
 

@@ -2,8 +2,10 @@
 
 S is the polynomial ring on the images of the simple roots, graded so that
 each generator sits in degree 2.  Modules are finite direct sums of cyclic
-pieces - free, or cut by a single linear form - with explicit homogeneous
-generators, exact below a configured degree cap.
+pieces S/(alpha)(-shift) for a linear form alpha, with explicit homogeneous
+generators, exact below a configured degree cap.  A free piece is the
+quotient by the zero form, so every piece shares LinearQuotient's
+normal-form arithmetic on flattened coordinate vectors.
 """
 
 from __future__ import annotations
@@ -188,34 +190,12 @@ class PolyRing:
     def __init__(self, nvars: int):
         self.nvars = nvars
         self._monos: dict[int, tuple] = {}
-        self._index: dict[int, dict] = {}
-        self._shift: dict = {}
 
     def monomials(self, k: int) -> tuple:
         got = self._monos.get(k)
         if got is None:
             got = tuple(sorted(_compositions(k, self.nvars)))
             self._monos[k] = got
-        return got
-
-    def mono_index(self, k: int) -> dict:
-        got = self._index.get(k)
-        if got is None:
-            got = {m: i for i, m in enumerate(self.monomials(k))}
-            self._index[k] = got
-        return got
-
-    def mul_var_map(self, k: int, var: int) -> tuple:
-        """Index of x_var * m in monomials(k+1) for each m in monomials(k)."""
-        key = (k, var)
-        got = self._shift.get(key)
-        if got is None:
-            idx = self.mono_index(k + 1)
-            got = tuple(
-                idx[tuple(e + (1 if i == var else 0) for i, e in enumerate(m))]
-                for m in self.monomials(k)
-            )
-            self._shift[key] = got
         return got
 
 
@@ -244,16 +224,17 @@ class LinearQuotient:
     The first generator with a nonzero coefficient is substituted away, so
     normal forms are spanned by the monomials avoiding it.  Substitution,
     reduction and multiplication coefficients are ints whenever they are
-    integral, as they are when that generator's coefficient is +-1.
+    integral, as they are when that generator's coefficient is +-1.  The
+    zero form eliminates nothing (elim is None): S/(0) is the free piece S,
+    every monomial is a normal form and reduction is the identity.
     """
 
     def __init__(self, ring: PolyRing, coords):
         self.ring = ring
         self.coords = coords
-        self.elim = next(i for i, c in enumerate(coords) if c)
-        cj = Fraction(coords[self.elim])
+        self.elim = next((i for i, c in enumerate(coords) if c), None)
         self.sub = {
-            i: _integral(-Fraction(c) / cj)
+            i: _integral(-Fraction(c) / coords[self.elim])
             for i, c in enumerate(coords)
             if c and i != self.elim
         }
@@ -265,7 +246,7 @@ class LinearQuotient:
     def reduced_monomials(self, k: int) -> tuple:
         got = self._reduced.get(k)
         if got is None:
-            got = tuple(m for m in self.ring.monomials(k) if m[self.elim] == 0)
+            got = tuple(m for m in self.ring.monomials(k) if not self._elim_exp(m))
             self._reduced[k] = got
         return got
 
@@ -278,6 +259,10 @@ class LinearQuotient:
 
     def dim(self, k: int) -> int:
         return len(self.reduced_monomials(k))
+
+    def _elim_exp(self, exp) -> int:
+        """Exponent of the eliminated generator; 0 when nothing is."""
+        return 0 if self.elim is None else exp[self.elim]
 
     def _power(self, e: int) -> dict:
         """Expansion of x_elim^e as a normal-form polynomial."""
@@ -300,7 +285,7 @@ class LinearQuotient:
 
     def expand_monomial(self, exp):
         """Normal form of a monomial as ((monomial, coeff), ...)."""
-        e = exp[self.elim]
+        e = self._elim_exp(exp)
         if e == 0:
             return ((exp, 1),)
         rest = tuple(x if i != self.elim else 0 for i, x in enumerate(exp))
@@ -375,8 +360,8 @@ def linear_quotient(nvars: int, coords) -> LinearQuotient:
 
 @dataclass(frozen=True)
 class CyclicPiece:
-    """One cyclic summand: S(-shift), or (S/alpha)(-shift) for a linear
-    form given by its coordinate tuple."""
+    """One cyclic summand (S/alpha)(-shift) for a linear form given by its
+    coordinate tuple; annihilator None is the zero form, the free S(-shift)."""
 
     shift: int
     annihilator: tuple | None = None
@@ -390,9 +375,7 @@ class ModuleAmbient:
         self.ring = poly_ring(nvars)
         self.pieces = tuple(pieces)
         self.quotients = tuple(
-            linear_quotient(nvars, tuple(p.annihilator))
-            if p.annihilator is not None
-            else None
+            linear_quotient(nvars, tuple(p.annihilator or (0,) * nvars))
             for p in self.pieces
         )
         self._dims: dict[int, tuple] = {}
@@ -408,8 +391,7 @@ class ModuleAmbient:
         k = self._piece_k(self.pieces[t], d)
         if k is None:
             return 0
-        q = self.quotients[t]
-        return len(self.ring.monomials(k)) if q is None else q.dim(k)
+        return self.quotients[t].dim(k)
 
     def dims(self, d: int) -> tuple:
         """Per-piece dimensions of the degree-d slice, computed once."""
@@ -436,38 +418,27 @@ class ModuleAmbient:
     def flatten(self, element, d: int):
         """Coordinates of a homogeneous degree-d element."""
         out = []
-        for t, (p, piece) in enumerate(zip(element, self.pieces)):
+        for p, piece, q in zip(element, self.pieces, self.quotients):
             k = self._piece_k(piece, d)
             if k is None:
                 if p and not p.is_zero():
                     raise DegreeMismatch("coordinate in a zero slice")
                 continue
-            q = self.quotients[t]
-            if q is None:
-                idx = self.ring.mono_index(k)
-                block = [0] * len(idx)
-                for exp, c in p.terms.items():
-                    if sum(exp) != k:
-                        raise DegreeMismatch("coordinate degree mismatch")
-                    block[idx[exp]] += c
-                out.extend(block)
-            else:
-                for exp in p.terms:
-                    if sum(exp) != k:
-                        raise DegreeMismatch("coordinate degree mismatch")
-                out.extend(q.reduce_terms(p.terms, k))
+            for exp in p.terms:
+                if sum(exp) != k:
+                    raise DegreeMismatch("coordinate degree mismatch")
+            out.extend(q.reduce_terms(p.terms, k))
         return out
 
     def unflatten(self, vec, d: int):
         out = []
         pos = 0
-        for t, piece in enumerate(self.pieces):
+        for piece, q in zip(self.pieces, self.quotients):
             k = self._piece_k(piece, d)
             if k is None:
                 out.append(SPoly.zero(self.nvars))
                 continue
-            q = self.quotients[t]
-            monos = self.ring.monomials(k) if q is None else q.reduced_monomials(k)
+            monos = q.reduced_monomials(k)
             block = vec[pos : pos + len(monos)]
             pos += len(monos)
             out.append(SPoly(self.nvars, dict(zip(monos, block))))
@@ -485,7 +456,7 @@ class ModuleAmbient:
             size = len(self.ring.monomials(k))
             block = vec[pos : pos + size]
             pos += size
-            out.extend(block if q is None else q.reduce_vec_indexed(block, k))
+            out.extend(q.reduce_vec_indexed(block, k))
         return out
 
     def mul_var_vec(self, vec, d: int, var: int):
@@ -501,20 +472,12 @@ class ModuleAmbient:
                 tgt_pos += tdims[t]
                 continue
             k = (d - piece.shift) // 2
-            q = self.quotients[t]
-            if q is None:
-                shift = self.ring.mul_var_map(k, var)
-                for i in range(sdim):
-                    c = vec[src_pos + i]
-                    if c:
-                        out[tgt_pos + shift[i]] += c
-            else:
-                rows = q.mul_var_map(k, var)
-                for i in range(sdim):
-                    c = vec[src_pos + i]
-                    if c:
-                        for tgt, f in rows[i]:
-                            out[tgt_pos + tgt] += c * f
+            rows = self.quotients[t].mul_var_map(k, var)
+            for i in range(sdim):
+                c = vec[src_pos + i]
+                if c:
+                    for tgt, f in rows[i]:
+                        out[tgt_pos + tgt] += c * f
             src_pos += sdim
             tgt_pos += tdims[t]
         return out

@@ -20,6 +20,7 @@ from .graded_algebra import (
     CyclicPiece,
     ModuleAmbient,
     SPoly,
+    monomial_multiples,
     reduce_mod_linear,
 )
 from .root_datum import RootDatum, RootVector
@@ -92,7 +93,9 @@ def structure_algebra_check(graph: MomentGraph, tuples: dict) -> bool:
 @dataclass
 class GraphSheaf:
     """Graded sheaf data: free vertex modules, label-annihilated edge
-    modules, and restriction maps given by generator images."""
+    modules, and restriction maps given by generator images:
+    restrictions[(v, e)] holds each generator of the stalk at v mapped to a
+    flattened edge_ambient(e) vector in that generator's degree."""
 
     graph: MomentGraph
     nvars: int
@@ -114,35 +117,25 @@ class GraphSheaf:
     def restriction_matrix(self, v, e: Edge, d: int):
         """Degree-d matrix of the restriction map as columns over the
         flattened vertex coordinates."""
-        vamb = self.vertex_ambient(v)
         eamb = self.edge_ambient(e)
-        images = self.restrictions[(v, e)]
-        cols = []
-        ring = vamb.ring
-        for t, shift in enumerate(self.vertex_shifts[v]):
-            rel = d - shift
-            if rel < 0 or rel % 2:
-                continue
-            img = images[t]
-            for mono in ring.monomials(rel // 2):
-                mono_poly = SPoly(self.nvars, {mono: 1})
-                moved = tuple(mono_poly * comp for comp in img)
-                cols.append(eamb.flatten(moved, d))
-        rows = len(cols[0]) if cols else eamb.dim(d)
-        return [[col[r] for col in cols] for r in range(rows)]
+        cols = [
+            col
+            for shift, image in zip(self.vertex_shifts[v], self.restrictions[(v, e)])
+            for col in monomial_multiples(eamb, image, shift, d)
+        ]
+        return [[col[r] for col in cols] for r in range(eamb.dim(d))]
 
 
 def constant_sheaf(graph: MomentGraph, degree_cap: int) -> GraphSheaf:
     """The structure sheaf: S at every vertex, S/(label) on every edge,
     canonical quotients as restrictions."""
     n = graph.label_datum.rank
-    unit = (SPoly.constant(n, 1),)
     vertex_shifts = {v: (0,) for v in graph.vertices}
     edge_shifts = {e: (0,) for e in graph.edges}
     restrictions = {}
     for e in graph.edges:
-        restrictions[(e.lower, e)] = (unit,)
-        restrictions[(e.upper, e)] = (unit,)
+        restrictions[(e.lower, e)] = ([1],)
+        restrictions[(e.upper, e)] = ([1],)
     return GraphSheaf(graph, n, vertex_shifts, edge_shifts, restrictions, degree_cap)
 
 

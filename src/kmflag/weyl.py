@@ -97,13 +97,6 @@ class WeylElement:
             if is_negative_vector(self._image_of_simple(i, inverse=True))
         ]
 
-    def right_descents(self) -> list[int]:
-        return [
-            i
-            for i in range(self.datum.rank)
-            if is_negative_vector(self._image_of_simple(i))
-        ]
-
     def _compute_word(self):
         word = []
         w = self

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from kmflag.kl import KLTable
 from kmflag.moment_graph import build_moment_graph
@@ -10,6 +11,11 @@ A2 = [[2, -1], [-1, 2]]
 B2 = [[2, -1], [-2, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 AFFINE_A1 = [[2, -2], [-2, 2]]
+
+# every property test draws the same examples on every run, keeps no example
+# database and has no per-example deadline
+settings.register_profile("kmflag", derandomize=True, deadline=None, database=None)
+settings.load_profile("kmflag")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,11 @@ descent recursion, then P-polynomials extracted coefficientwise from
 q^(l(w)-l(x)) P(1/q) - P(q) = sum R_{x,y} P_{y,w}.  The Bruhat oracle is
 the reflexive-transitive closure of the covering relation.  Neither shares
 code with the package's recursions.  The BMP oracle recomputes sections
-from scratch at every vertex instead of carrying them incrementally.  The
+from scratch at every vertex instead of carrying them incrementally; its
+restriction matrices multiply through ModuleAmbient.mul_var_vec as
+compute_bmp does, so that multiplication is checked on its own against
+SPoly products (test_graded_algebra's
+test_monomial_multiples_match_spoly_products).  The
 linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
 where the package eliminates fraction-free.
 """

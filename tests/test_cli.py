@@ -117,6 +117,17 @@ def test_characters_command(a2_file):
     assert all(v >= 0 for v in payload["coefficients"].values())
 
 
+def test_characters_indefinite_names_unsupported_kind(tmp_path):
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({"cartan": [[2, -3], [-3, 2]]}))
+    status, doc = run_cli(
+        "characters", "--cartan", str(path), "--pairings", "-2,-2",
+        "--element", "1,2", "--depth", "4",
+    )
+    assert status == 1
+    assert json.loads(doc)["error_code"] == "UnsupportedKind"
+
+
 def test_multiplicities_table(a2_file):
     status, doc = run_cli(
         "multiplicities", "--cartan", a2_file, "--max-length", "3", "--format", "csv"

@@ -14,6 +14,7 @@ from kmflag.graded_algebra import (
     image_module,
     linear_quotient,
     minimal_generators,
+    monomial_multiples,
     reduce_mod_linear,
 )
 from kmflag.moment_graph import build_moment_graph
@@ -40,6 +41,8 @@ def test_reduce_mod_linear_contract():
     assert reduce_mod_linear(x(0) * x(1), alpha) == x(1) * x(1)
     with pytest.raises(ZeroForm):
         reduce_mod_linear(x(0), SPoly.zero(2))
+    with pytest.raises(ZeroForm):
+        divide_by_linear(x(0), SPoly.zero(2))
     with pytest.raises(ZeroForm):
         reduce_mod_linear(x(0), x(0) * x(1))
 
@@ -229,24 +232,45 @@ def test_unit_label_quotient_maps_are_int(cartan):
                     assert dict(row) == _normal_form_over_q(quot, up)
 
 
+# unit label (1, -1), non-unit label (2, 3), a free piece, and shifts of
+# both parities, so every degree has dead pieces
+MIXED_PIECES = (
+    CyclicPiece(0, (1, -1)),
+    CyclicPiece(2, (2, 3)),
+    CyclicPiece(1, (1, -1)),
+    CyclicPiece(2),
+    CyclicPiece(5, (2, 3)),
+)
+
+
 def test_reduce_free_matches_piecewise_reduction():
-    # unit label (1, -1), non-unit label (2, 3), a free piece, and shifts of
-    # both parities, so every degree has dead pieces
-    pieces = [
-        CyclicPiece(0, (1, -1)),
-        CyclicPiece(2, (2, 3)),
-        CyclicPiece(1, (1, -1)),
-        CyclicPiece(2),
-        CyclicPiece(5, (2, 3)),
-    ]
-    amb = ModuleAmbient(2, pieces)
-    free = ModuleAmbient(2, [CyclicPiece(p.shift) for p in pieces])
+    amb = ModuleAmbient(2, MIXED_PIECES)
+    free = ModuleAmbient(2, [CyclicPiece(p.shift) for p in MIXED_PIECES])
     rng = random.Random(11)
     for d in range(9):
         vec = [rng.randint(-3, 3) for _ in range(free.dim(d))]
         element = tuple(
             p if piece.annihilator is None
             else reduce_mod_linear(p, SPoly.linear(piece.annihilator))
-            for p, piece in zip(free.unflatten(vec, d), pieces)
+            for p, piece in zip(free.unflatten(vec, d), MIXED_PIECES)
         )
         assert amb.reduce_free(vec, d) == amb.flatten(element, d), d
+
+
+def test_monomial_multiples_match_spoly_products():
+    # restriction_matrix and compute_bmp both multiply through mul_var_vec,
+    # so it is checked against SPoly products, which share no code with it
+    amb = ModuleAmbient(2, MIXED_PIECES + (CyclicPiece(0),))
+    rng = random.Random(12)
+    for e in range(7):
+        g = []
+        for p in amb.pieces:
+            live = e >= p.shift and (e - p.shift) % 2 == 0
+            monos = amb.ring.monomials((e - p.shift) // 2) if live else ()
+            g.append(SPoly(2, {m: rng.randint(-3, 3) for m in monos}))
+        for d in range(e, e + 7, 2):
+            expected = [
+                amb.flatten(tuple(SPoly(2, {m: 1}) * c for c in g), d)
+                for m in amb.ring.monomials((d - e) // 2)
+            ]
+            assert monomial_multiples(amb, amb.flatten(g, e), e, d) == expected, (e, d)

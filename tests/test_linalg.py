@@ -27,8 +27,6 @@ from oracles import (
     solve_over_q,
 )
 
-DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=300)
-
 entries = st.integers(-3, 3)
 fraction_entries = st.builds(Fraction, entries, st.integers(1, 3))
 
@@ -85,14 +83,14 @@ def _ints_where_integral(vec):
     )
 
 
-@DETERMINISTIC
+@settings(max_examples=300)
 @given(any_matrices)
 def test_kernel_basis_spans_primitive_null_space(system):
     rows, ncols = system
     _check_kernel(rows, ncols, kernel_basis(rows, ncols))
 
 
-@DETERMINISTIC
+@settings(max_examples=300)
 @given(any_matrices, st.data())
 def test_solve_right_consistent(system, data):
     # planted solutions, with zero right-hand sides mixed in
@@ -118,7 +116,7 @@ def test_solve_right_consistent(system, data):
     assert kernel == kernel_basis(rows, ncols)
 
 
-@DETERMINISTIC
+@settings(max_examples=300)
 @given(matrices(max_rows=5), st.data())
 def test_solve_right_inconsistent_raises(system, data):
     # append a row c * r_j (or zero) whose right-hand side is off by delta
@@ -136,7 +134,7 @@ def test_solve_right_inconsistent_raises(system, data):
         solve_right(rows + [last], [b + [b_last]], ncols)
 
 
-@DETERMINISTIC
+@settings(max_examples=300)
 @given(any_matrices)
 def test_rowspan_rows_are_primitive_oracle_rows(system):
     rows, ncols = system

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kmflag.errors import DegreeCapExceeded
@@ -213,7 +213,6 @@ RANK2 = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, database=None)
 @given(RANK2)
 def test_rank2_order_and_edges(ab):
     a, b = ab
