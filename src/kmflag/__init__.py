@@ -27,7 +27,6 @@ from .graded_algebra import (
     SPoly,
     degree_basis,
     divide_by_linear,
-    image_module,
     minimal_generators,
     reduce_mod_linear,
 )

@@ -137,11 +137,7 @@ def compute_bmp(
 
             # the new stalk's degree-d basis, (generator, monomial) ordered,
             # mapped into the boundary; each section lifts through it
-            gen_cols = [
-                col
-                for dgen, vec in new_gens
-                for col in monomial_multiples(boundary, vec, dgen, d)
-            ]
+            gen_cols = monomial_multiples(boundary, new_gens, d)
             g_rows = [[col[r] for col in gen_cols] for r in range(boundary.dim(d))]
             lifts, kernel = solve_right(g_rows, pi_rows, len(gen_cols))
             comp[w][d] = lifts + kernel

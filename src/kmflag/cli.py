@@ -28,11 +28,15 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
 
+#: exit status by error kind, first match wins; any other error is EXIT_VALIDATION
+_ERROR_STATUS = (
+    (CrossCheckFailed, EXIT_VERIFICATION),
+    (RESOURCE_GUARD_ERRORS, EXIT_RESOURCE),
+)
+
+
 class _CliError(Exception):
-    def __init__(self, message, code="UsageError", status=EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
-        self.status = status
+    code = "UsageError"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,21 +420,13 @@ def main(argv=None, out=None) -> int:
         ns = parser.parse_args(_merge_negative_values(argv))
         config = _config_from_args(ns)
         status, doc = run(config)
-    except _CliError as exc:
-        out.write(_json_doc({"error_code": exc.code, "message": str(exc)}))
-        return exc.status
-    except CrossCheckFailed as exc:
-        out.write(_json_doc({"error_code": exc.code, "message": str(exc)}))
-        return EXIT_VERIFICATION
-    except RESOURCE_GUARD_ERRORS as exc:
-        out.write(_json_doc({"error_code": exc.code, "message": str(exc)}))
-        return EXIT_RESOURCE
-    except ToolkitError as exc:
-        out.write(_json_doc({"error_code": exc.code, "message": str(exc)}))
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        out.write(_json_doc({"error_code": "ValueError", "message": str(exc)}))
-        return EXIT_VALIDATION
+    except (_CliError, ToolkitError, ValueError) as exc:
+        code = getattr(exc, "code", "ValueError")
+        out.write(_json_doc({"error_code": code, "message": str(exc)}))
+        return next(
+            (status for kinds, status in _ERROR_STATUS if isinstance(exc, kinds)),
+            EXIT_VALIDATION,
+        )
     out.write(doc)
     return status
 

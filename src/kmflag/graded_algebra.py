@@ -5,7 +5,9 @@ each generator sits in degree 2.  Modules are finite direct sums of cyclic
 pieces S/(alpha)(-shift) for a linear form alpha, with explicit homogeneous
 generators, exact below a configured degree cap.  A free piece is the
 quotient by the zero form, so every piece shares LinearQuotient's
-normal-form arithmetic on flattened coordinate vectors.
+normal-form arithmetic.  A degree-d element is a flat vector: the
+concatenation, over the pieces live in degree d, of its coefficients on
+that piece's reduced monomials; a generator is a (degree, vector) pair.
 """
 
 from __future__ import annotations
@@ -294,16 +296,6 @@ class LinearQuotient:
             for mono, c in self._power(e).items()
         )
 
-    def reduce_terms(self, terms: dict, k: int):
-        """Coefficient vector over reduced_monomials(k) of a degree-k
-        polynomial given as an exponent->coefficient map."""
-        idx = self.reduced_index(k)
-        out = [0] * len(idx)
-        for exp, c in terms.items():
-            for tgt, f in self.expand_monomial(exp):
-                out[idx[tgt]] += c * f
-        return out
-
     def reduce_map_indexed(self, k: int) -> tuple:
         """Reduction matrix in sparse index form: per source monomial index,
         ((reduced index, coeff), ...)."""
@@ -404,46 +396,6 @@ class ModuleAmbient:
     def dim(self, d: int) -> int:
         return sum(self.dims(d))
 
-    def element_degree(self, element) -> int | None:
-        degs = set()
-        for p, piece in zip(element, self.pieces):
-            if p and not p.is_zero():
-                if not p.is_homogeneous():
-                    raise DegreeMismatch("element coordinates must be homogeneous")
-                degs.add(p.s_degree() + piece.shift)
-        if len(degs) > 1:
-            raise DegreeMismatch(f"mixed degrees {sorted(degs)} in one element")
-        return degs.pop() if degs else None
-
-    def flatten(self, element, d: int):
-        """Coordinates of a homogeneous degree-d element."""
-        out = []
-        for p, piece, q in zip(element, self.pieces, self.quotients):
-            k = self._piece_k(piece, d)
-            if k is None:
-                if p and not p.is_zero():
-                    raise DegreeMismatch("coordinate in a zero slice")
-                continue
-            for exp in p.terms:
-                if sum(exp) != k:
-                    raise DegreeMismatch("coordinate degree mismatch")
-            out.extend(q.reduce_terms(p.terms, k))
-        return out
-
-    def unflatten(self, vec, d: int):
-        out = []
-        pos = 0
-        for piece, q in zip(self.pieces, self.quotients):
-            k = self._piece_k(piece, d)
-            if k is None:
-                out.append(SPoly.zero(self.nvars))
-                continue
-            monos = q.reduced_monomials(k)
-            block = vec[pos : pos + len(monos)]
-            pos += len(monos)
-            out.append(SPoly(self.nvars, dict(zip(monos, block))))
-        return tuple(out)
-
     def reduce_free(self, vec, d: int):
         """Image of a flattened degree-d vector of the free module on the
         same shifts: each live block is reduced by its piece's quotient."""
@@ -486,38 +438,39 @@ class ModuleAmbient:
 @dataclass
 class GradedModuleRep:
     """Submodule of an ambient sum of cyclic pieces, given by homogeneous
-    generators; all degreewise data is exact up to degree_cap."""
+    generators as (degree, flattened degree-d vector) pairs; all degreewise
+    data is exact up to degree_cap."""
 
     ambient: ModuleAmbient
     generators: tuple
     degree_cap: int
 
-    def generator_degrees(self) -> list[int]:
-        degs = []
-        for g in self.generators:
-            d = self.ambient.element_degree(g)
-            if d is None:
-                continue
-            degs.append(d)
-        return degs
+    def __post_init__(self):
+        for d, vec in self.generators:
+            if len(vec) != self.ambient.dim(d):
+                raise DegreeMismatch(
+                    f"degree-{d} generator has {len(vec)} coordinates, "
+                    f"expected {self.ambient.dim(d)}"
+                )
 
 
-def monomial_multiples(amb: ModuleAmbient, vec, e: int, d: int) -> list:
-    """m * vec for every monomial m carrying the flattened degree-e vector
-    to degree d, in monomials() order; empty unless d - e is even and
-    nonnegative."""
-    rel = d - e
-    if rel < 0 or rel % 2:
-        return []
+def monomial_multiples(amb: ModuleAmbient, gens, d: int) -> list:
+    """The degree-d columns m * g: for each (degree, vector) generator g in
+    order, one per monomial m carrying g to degree d, in monomials() order.
+    A generator above d or of the other parity contributes no column."""
     out = []
-    for mono in amb.ring.monomials(rel // 2):
-        col = vec
-        deg = e
-        for var, count in enumerate(mono):
-            for _ in range(count):
-                col = amb.mul_var_vec(col, deg, var)
-                deg += 2
-        out.append(col)
+    for e, vec in gens:
+        rel = d - e
+        if rel < 0 or rel % 2:
+            continue
+        for mono in amb.ring.monomials(rel // 2):
+            col = vec
+            deg = e
+            for var, count in enumerate(mono):
+                for _ in range(count):
+                    col = amb.mul_var_vec(col, deg, var)
+                    deg += 2
+            out.append(col)
     return out
 
 
@@ -545,52 +498,32 @@ def cover_step(amb: ModuleAmbient, prev_basis, candidates, d: int, cap: int,
 
 
 def degree_basis(module: GradedModuleRep, d: int):
-    """Basis of the degree-d slice of the generated submodule."""
+    """Basis of the degree-d slice of the generated submodule, as
+    flattened rows."""
     if d > module.degree_cap:
         raise DegreeCapExceeded(f"degree {d} above cap {module.degree_cap}")
-    amb = module.ambient
-    span = RowSpan(amb.dim(d))
-    for g in module.generators:
-        e = amb.element_degree(g)
-        if e is not None:
-            for v in monomial_multiples(amb, amb.flatten(g, e), e, d):
-                span.add(v)
-    return [amb.unflatten(row, d) for row in span.rows]
+    span = RowSpan(module.ambient.dim(d))
+    for col in monomial_multiples(module.ambient, module.generators, d):
+        span.add(col)
+    return span.rows
 
 
 def minimal_generators(module: GradedModuleRep):
-    """Degrees of a minimal homogeneous generating set, with representatives.
+    """Degrees of a minimal homogeneous generating set, with representatives
+    drawn from the module's (degree, vector) generators.
 
     Degreewise sweep of cover_step: in each degree the new generators are
     a basis of the slice modulo everything reachable from lower degrees.
     """
-    amb = module.ambient
-    gen_degrees = module.generator_degrees()
-    if not gen_degrees:
+    gens = module.generators
+    if not gens:
         return (), []
-    degrees = []
     reps = []
     prev_basis: list = []
-    for d in range(min(gen_degrees), module.degree_cap + 1, 2):
-        gens = [g for g in module.generators if amb.element_degree(g) == d]
+    for d in range(min(e for e, _ in gens), module.degree_cap + 1, 2):
+        cands = [g for g in gens if g[0] == d]
         prev_basis, fresh = cover_step(
-            amb, prev_basis, [amb.flatten(g, d) for g in gens], d, module.degree_cap
+            module.ambient, prev_basis, [vec for _, vec in cands], d, module.degree_cap
         )
-        degrees.extend(d for _ in fresh)
-        reps.extend(gens[i] for i in fresh)
-    return tuple(degrees), reps
-
-
-def image_module(source: GradedModuleRep, images, target: ModuleAmbient,
-                 degree_cap: int | None = None) -> GradedModuleRep:
-    """The submodule of the target generated by the per-generator images."""
-    if len(images) != len(source.generators):
-        raise DegreeMismatch("one image per source generator required")
-    for g, im in zip(source.generators, images):
-        dg = source.ambient.element_degree(g)
-        di = target.element_degree(im)
-        if di is not None and di != dg:
-            raise DegreeMismatch(f"image degree {di} != source degree {dg}")
-    cap = source.degree_cap if degree_cap is None else degree_cap
-    return GradedModuleRep(target, tuple(images), cap)
-
+        reps.extend(cands[i] for i in fresh)
+    return tuple(d for d, _ in reps), reps

@@ -118,11 +118,8 @@ class GraphSheaf:
         """Degree-d matrix of the restriction map as columns over the
         flattened vertex coordinates."""
         eamb = self.edge_ambient(e)
-        cols = [
-            col
-            for shift, image in zip(self.vertex_shifts[v], self.restrictions[(v, e)])
-            for col in monomial_multiples(eamb, image, shift, d)
-        ]
+        gens = zip(self.vertex_shifts[v], self.restrictions[(v, e)])
+        cols = monomial_multiples(eamb, gens, d)
         return [[col[r] for col in cols] for r in range(eamb.dim(d))]
 
 
@@ -143,12 +140,14 @@ def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> d
     """Degreewise bases of the space of sections over a vertex subset.
 
     Only edges with both endpoints inside the subset constrain the tuple.
-    Returns {degree: [section]}, a section being {vertex: element}.
+    Returns {degree: [section]}, a section being {vertex: flattened
+    degree-d vector of vertex_ambient(vertex)}.
     """
     graph = sheaf.graph
-    verts = list(graph.vertices) if subset is None else [
-        v for v in graph.vertices if v in set(subset)
-    ]
+    verts = list(graph.vertices)
+    if subset is not None:
+        subset = set(subset)
+        verts = [v for v in verts if v in subset]
     cap = sheaf.degree_cap if max_degree is None else max_degree
     if cap > sheaf.degree_cap:
         raise DegreeCapExceeded(f"degree {cap} above sheaf cap {sheaf.degree_cap}")
@@ -176,16 +175,10 @@ def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> d
                 for c, val in enumerate(row_y):
                     row[oy + c] -= val
                 rows.append(row)
-        basis = kernel_basis(rows, width)
-        secs = []
-        for vec in basis:
-            sec = {}
-            for v in verts:
-                amb = ambients[v]
-                block = vec[offsets[v] : offsets[v] + amb.dim(d)]
-                sec[v] = amb.unflatten(block, d)
-            secs.append(sec)
-        out[d] = secs
+        out[d] = [
+            {v: vec[offsets[v] : offsets[v] + dim] for v, dim in zip(verts, dims)}
+            for vec in kernel_basis(rows, width)
+        ]
     return out
 
 

@@ -4,20 +4,28 @@ The KL oracle follows the original construction: R-polynomials by their
 descent recursion, then P-polynomials extracted coefficientwise from
 q^(l(w)-l(x)) P(1/q) - P(q) = sum R_{x,y} P_{y,w}.  The Bruhat oracle is
 the reflexive-transitive closure of the covering relation.  Neither shares
-code with the package's recursions.  The BMP oracle recomputes sections
-from scratch at every vertex instead of carrying them incrementally; its
-restriction matrices multiply through ModuleAmbient.mul_var_vec as
-compute_bmp does, so that multiplication is checked on its own against
-SPoly products (test_graded_algebra's
-test_monomial_multiples_match_spoly_products).  The
+code with the package's recursions.  spoly_vector turns an SPoly tuple
+into the package's flat element format through divide_by_linear
+remainders, so the tests build modules and expected products and
+reductions without the package's normal-form expansion.  The BMP oracle
+recomputes sections from scratch at every vertex instead of carrying them
+incrementally; its restriction matrices multiply through
+ModuleAmbient.mul_var_vec as compute_bmp does, so that multiplication is
+checked on its own against spoly_vector of SPoly products
+(test_graded_algebra's test_monomial_multiples_match_spoly_products).  The
 linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
-where the package eliminates fraction-free.
-"""
+where the package eliminates fraction-free."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
+from kmflag.graded_algebra import (
+    GradedModuleRep,
+    ModuleAmbient,
+    SPoly,
+    divide_by_linear,
+    minimal_generators,
+)
 from kmflag.kl import QPoly
 from kmflag.moment_graph import sections
 from kmflag.weyl import bruhat_leq, inverse, multiply, simple_reflection
@@ -224,18 +232,36 @@ def bmp_cover_degrees(result) -> dict:
         )
         images = []
         for d, secs in sections(sheaf, subset=below, max_degree=cap).items():
-            maps = [
-                (e.lower, sheaf.vertex_ambient(e.lower),
-                 sheaf.restriction_matrix(e.lower, e, d))
-                for e in up_edges
-            ]
+            maps = [(e.lower, sheaf.restriction_matrix(e.lower, e, d)) for e in up_edges]
             for sec in secs:
                 vec = []
-                for y, amb, matrix in maps:
-                    yvec = amb.flatten(sec[y], d)
-                    vec.extend(sum(a * b for a, b in zip(row, yvec)) for row in matrix)
-                images.append(boundary.unflatten(vec, d))
+                for y, matrix in maps:
+                    vec.extend(sum(a * b for a, b in zip(r, sec[y])) for r in matrix)
+                images.append((d, vec))
         out[w], _ = minimal_generators(GradedModuleRep(boundary, tuple(images), cap))
+    return out
+
+
+def spoly_vector(amb, element, d: int):
+    """The flat degree-d vector of an element given as one SPoly per piece
+    of the ambient: over the pieces live in degree d, the coefficients of
+    the piece's divide_by_linear remainder (the polynomial itself on a free
+    piece) on its reduced monomials.  A piece that is dead in degree d must
+    carry zero, and a live one a polynomial of the slice's degree."""
+    out = []
+    for p, piece, quot in zip(element, amb.pieces, amb.quotients):
+        rel = d - piece.shift
+        if rel < 0 or rel % 2:
+            assert p.is_zero(), "nonzero coordinate in a dead piece"
+            continue
+        assert all(sum(exp) == rel // 2 for exp in p.terms), "coordinate degree"
+        if piece.annihilator is not None:
+            _, p = divide_by_linear(p, SPoly.linear(piece.annihilator))
+        index = {m: i for i, m in enumerate(quot.reduced_monomials(rel // 2))}
+        block = [0] * len(index)
+        for exp, c in p.terms.items():
+            block[index[exp]] = c
+        out.extend(block)
     return out
 
 

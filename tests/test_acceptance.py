@@ -18,7 +18,7 @@ from kmflag.category_o import (
     projective_verma_multiplicity,
 )
 from kmflag.cli import main as cli_main
-from kmflag.graded_algebra import GradedModuleRep, minimal_generators
+from kmflag.graded_algebra import minimal_generators
 from kmflag.kl import KLTable, QPoly
 from kmflag.moment_graph import build_moment_graph
 from kmflag.weyl import (
@@ -31,7 +31,7 @@ from kmflag.weyl import (
 )
 
 from oracles import KLOracle, bruhat_closure_oracle
-from test_graded_algebra import _random_module, _respan
+from test_graded_algebra import _module, _random_module, _respan
 
 
 def _report(number: int, description: str, ok: bool):
@@ -194,12 +194,11 @@ def test_criterion_8_robustness(b2, b2_group):
     done = 0
     while done < 50:
         amb, gens = _random_module(rng)
-        module = GradedModuleRep(amb, gens, 12)
         try:
-            degs, _ = minimal_generators(module)
+            degs, _ = minimal_generators(_module(amb, gens, 12))
         except CapBoundaryGenerator:
             continue
-        degs2, _ = minimal_generators(GradedModuleRep(amb, _respan(amb, gens, rng), 12))
+        degs2, _ = minimal_generators(_module(amb, _respan(amb, gens, rng), 12))
         ok = ok and degs == degs2
         done += 1
     _report(

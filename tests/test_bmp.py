@@ -182,15 +182,11 @@ def test_sheaf_restrictions_are_surjective(graph_fixture, base_word, request):
     full = sections(sheaf, max_degree=4)
     for subset in opens:
         sub = sections(sheaf, subset=subset, max_degree=4)
-        ambients = {v: sheaf.vertex_ambient(v) for v in subset}
         for d in (0, 2, 4):
-            width = sum(ambients[v].dim(d) for v in subset)
+            width = sum(sheaf.vertex_ambient(v).dim(d) for v in subset)
             restricted = RowSpan(width)
             for sec in full[d]:
-                vec = []
-                for v in subset:
-                    vec.extend(ambients[v].flatten(sec[v], d))
-                restricted.add(vec)
+                restricted.add([c for v in subset for c in sec[v]])
             assert restricted.dim == len(sub[d])
 
 
@@ -211,5 +207,5 @@ def test_sheaf_sections_surject_onto_stalks(graph_fixture, base_word, request):
                 continue
             span = RowSpan(dim)
             for sec in secs[d]:
-                span.add(amb.flatten(sec[w], d))
+                span.add(sec[w])
             assert span.dim == dim, (format_word(w), d)

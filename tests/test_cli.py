@@ -201,6 +201,19 @@ def test_size_limit_exit_three(affine_file):
     assert json.loads(doc)["error_code"] == "SizeLimitExceeded"
 
 
+@pytest.mark.parametrize(
+    "cap, status, code", [("2", 3, "CapBoundaryGenerator"), ("3", 1, "ValueError")]
+)
+def test_bmp_degree_cap_override_errors(a2_file, cap, status, code):
+    # cap 2 leaves no margin above the base generator; an odd cap is invalid
+    got, doc = run_cli(
+        "bmp", "--cartan", a2_file, "--max-length", "3", "--base", "e",
+        "--degree-cap-override", cap,
+    )
+    assert got == status
+    assert json.loads(doc)["error_code"] == code
+
+
 def test_size_limit_env_var(affine_file, monkeypatch):
     monkeypatch.setenv("KMFLAG_SIZE_LIMIT", "10")
     status, doc = run_cli("weyl-ideal", "--cartan", affine_file, "--max-length", "40")

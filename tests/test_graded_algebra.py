@@ -11,7 +11,6 @@ from kmflag.graded_algebra import (
     SPoly,
     degree_basis,
     divide_by_linear,
-    image_module,
     linear_quotient,
     minimal_generators,
     monomial_multiples,
@@ -20,6 +19,8 @@ from kmflag.graded_algebra import (
 from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import validate_cartan
 from kmflag.weyl import full_weyl_group
+
+from oracles import spoly_vector
 
 
 def x(i, n=2):
@@ -62,14 +63,21 @@ def test_reduction_is_congruent_mod_alpha():
         assert quot * alpha + red == p
 
 
+def _module(amb, gens, cap):
+    """The submodule generated by (degree, SPoly tuple) pairs."""
+    return GradedModuleRep(
+        amb, tuple((d, spoly_vector(amb, g, d)) for d, g in gens), cap
+    )
+
+
 def test_degree_basis_dimensions():
     free = ModuleAmbient(2, [CyclicPiece(0)])
     unit = (SPoly.constant(2, 1),)
-    m = GradedModuleRep(free, (unit,), 10)
-    assert len(degree_basis(m, 0)) == 1
+    m = _module(free, [(0, unit)], 10)
+    assert degree_basis(m, 0) == [[1]]
     assert len(degree_basis(m, 2)) == 2
     quot = ModuleAmbient(2, [CyclicPiece(0, (1, 0))])
-    mq = GradedModuleRep(quot, ((SPoly.constant(2, 1),),), 10)
+    mq = _module(quot, [(0, unit)], 10)
     assert len(degree_basis(mq, 2)) == 1
     with pytest.raises(DegreeCapExceeded):
         degree_basis(m, 12)
@@ -78,40 +86,48 @@ def test_degree_basis_dimensions():
 def test_minimal_generators_contract_examples():
     free = ModuleAmbient(2, [CyclicPiece(0)])
     unit = (SPoly.constant(2, 1),)
-    assert minimal_generators(GradedModuleRep(free, (unit,), 10))[0] == (0,)
+    assert minimal_generators(_module(free, [(0, unit)], 10)) == ((0,), [(0, [1])])
 
     mixed = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(0, (1, 0))])
     g1 = (x(0), SPoly.zero(2))
     g2 = (SPoly.zero(2), SPoly.constant(2, 1))
-    degs, reps = minimal_generators(GradedModuleRep(mixed, (g1, g2), 10))
-    assert sorted(degs) == [0, 2]
-    assert len(reps) == 2
+    degs, reps = minimal_generators(_module(mixed, [(2, g1), (0, g2)], 10))
+    assert degs == (0, 2)
+    assert reps == [(0, [0, 1]), (2, [0, 1, 0])]
 
-    inside = GradedModuleRep(free, ((x(0),), (x(1),)), 10)
+    inside = _module(free, [(2, (x(0),)), (2, (x(1),))], 10)
     assert minimal_generators(inside)[0] == (2, 2)
+
+    # a zero generator spans nothing
+    free2 = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(0)])
+    assert minimal_generators(GradedModuleRep(free2, ((0, [0, 0]),), 8)) == ((), [])
+    # a generator's vector must have ambient.dim(degree) coordinates;
+    # [0, 1, 0, 0] is x1 in the first piece, which lies in degree 2
+    with pytest.raises(DegreeMismatch):
+        GradedModuleRep(free2, ((0, [0, 1, 0, 0]),), 8)
 
 
 def test_minimal_generators_cap_guard():
     free = ModuleAmbient(2, [CyclicPiece(0)])
     with pytest.raises(CapBoundaryGenerator):
-        minimal_generators(GradedModuleRep(free, ((x(0),),), 2))
+        minimal_generators(_module(free, [(2, (x(0),))], 2))
 
 
 def test_rank_nullity_cross_check():
     # dim (M/S+M)_d == dim M_d - dim (S+ M)_d, both sides recomputed
     mixed = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(2, (1, -1))])
-    gens = ((x(0), SPoly.constant(2, 1)), (x(0) * x(1), SPoly.zero(2)))
-    module = GradedModuleRep(mixed, gens, 12)
+    gens = [(2, (x(0), SPoly.constant(2, 1))), (4, (x(0) * x(1), SPoly.zero(2)))]
+    module = _module(mixed, gens, 12)
     degs, _ = minimal_generators(module)
     for d in range(0, 12, 2):
         m_d = len(degree_basis(module, d))
-        lower = GradedModuleRep(
+        lower = _module(
             mixed,
-            tuple(
-                tuple(SPoly.variable(2, var) * c for c in g)
-                for g in gens
+            [
+                (e + 2, tuple(SPoly.variable(2, var) * c for c in g))
+                for e, g in gens
                 for var in range(2)
-            ),
+            ],
             12,
         )
         # (S+ M)_d equals the degree-d slice of the module generated by x_k g
@@ -120,6 +136,7 @@ def test_rank_nullity_cross_check():
 
 
 def _random_module(rng):
+    """A random ambient and (degree, SPoly tuple) generators in it."""
     pieces = []
     for _ in range(rng.randint(1, 3)):
         shift = 2 * rng.randint(0, 2)
@@ -143,28 +160,34 @@ def _random_module(rng):
                 if rng.random() < 0.6:
                     terms[mono] = Fraction(rng.randint(-2, 2))
             comp.append(SPoly(2, terms))
-        gens.append(tuple(comp))
+        gens.append((d, tuple(comp)))
     return amb, tuple(gens)
 
 
 def _respan(amb, gens, rng):
     """A different generating set of the same submodule: unimodular integer
-    combinations plus redundant multiples."""
+    combinations plus redundant multiples.  A zero generator has no degree
+    here, so it is combined only with other zero generators."""
+
+    def degree(gen):
+        d, g = gen
+        return d if any(g) else None
+
     k = len(gens)
     new = []
     for i in range(k):
         comp = [SPoly.zero(2) for _ in amb.pieces]
-        di = amb.element_degree(gens[i])
+        di = degree(gens[i])
         for j in range(k):
-            if amb.element_degree(gens[j]) != di or (i != j and rng.random() < 0.5):
+            if degree(gens[j]) != di or (i != j and rng.random() < 0.5):
                 continue
             c = 1 if i == j else rng.randint(-2, 2)
-            comp = [a + c * b for a, b in zip(comp, gens[j])]
-        new.append(tuple(comp))
-    for g in gens:
+            comp = [a + c * b for a, b in zip(comp, gens[j][1])]
+        new.append((gens[i][0], tuple(comp)))
+    for d, g in gens:
         if rng.random() < 0.5:
             var = rng.randint(0, 1)
-            new.append(tuple(SPoly.variable(2, var) * c for c in g))
+            new.append((d + 2, tuple(SPoly.variable(2, var) * c for c in g)))
     return tuple(new)
 
 
@@ -173,28 +196,15 @@ def test_minimal_generators_presentation_independence():
     done = 0
     while done < 50:
         amb, gens = _random_module(rng)
-        module = GradedModuleRep(amb, gens, 12)
+        module = _module(amb, gens, 12)
         try:
             degs, _ = minimal_generators(module)
         except CapBoundaryGenerator:
             continue
-        other = GradedModuleRep(amb, _respan(amb, gens, rng), 12)
+        other = _module(amb, _respan(amb, gens, rng), 12)
         degs2, _ = minimal_generators(other)
         assert degs == degs2
         done += 1
-
-
-def test_image_module_contract():
-    free2 = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(0)])
-    g = ((SPoly.constant(2, 1), SPoly.zero(2)),)
-    m = GradedModuleRep(free2, g, 8)
-    same = image_module(m, g, free2)
-    for d in (0, 2, 4):
-        assert len(degree_basis(same, d)) == len(degree_basis(m, d))
-    zero = image_module(m, ((SPoly.zero(2), SPoly.zero(2)),), free2)
-    assert minimal_generators(zero) == ((), [])
-    with pytest.raises(DegreeMismatch):
-        image_module(m, ((x(0), SPoly.zero(2)),), free2)
 
 
 def _normal_form_over_q(quot, exp):
@@ -243,34 +253,41 @@ MIXED_PIECES = (
 )
 
 
+def _random_element(amb, d, rng):
+    """One SPoly per piece of the ambient, random on the pieces live in
+    degree d, drawing one coefficient per free monomial in order."""
+    out = []
+    for piece in amb.pieces:
+        rel = d - piece.shift
+        monos = amb.ring.monomials(rel // 2) if rel >= 0 and rel % 2 == 0 else ()
+        out.append(SPoly(2, {m: rng.randint(-3, 3) for m in monos}))
+    return tuple(out)
+
+
 def test_reduce_free_matches_piecewise_reduction():
+    # spoly_vector reduces each piece by divide_by_linear, which shares no
+    # code with reduce_free's LinearQuotient maps
     amb = ModuleAmbient(2, MIXED_PIECES)
     free = ModuleAmbient(2, [CyclicPiece(p.shift) for p in MIXED_PIECES])
     rng = random.Random(11)
     for d in range(9):
-        vec = [rng.randint(-3, 3) for _ in range(free.dim(d))]
-        element = tuple(
-            p if piece.annihilator is None
-            else reduce_mod_linear(p, SPoly.linear(piece.annihilator))
-            for p, piece in zip(free.unflatten(vec, d), MIXED_PIECES)
-        )
-        assert amb.reduce_free(vec, d) == amb.flatten(element, d), d
+        element = _random_element(free, d, rng)
+        vec = spoly_vector(free, element, d)
+        assert amb.reduce_free(vec, d) == spoly_vector(amb, element, d), d
 
 
 def test_monomial_multiples_match_spoly_products():
-    # restriction_matrix and compute_bmp both multiply through mul_var_vec,
-    # so it is checked against SPoly products, which share no code with it
+    # restriction_matrix, degree_basis and compute_bmp all multiply through
+    # mul_var_vec, so it is checked against SPoly products, reduced by
+    # spoly_vector, which share no code with it
     amb = ModuleAmbient(2, MIXED_PIECES + (CyclicPiece(0),))
     rng = random.Random(12)
     for e in range(7):
-        g = []
-        for p in amb.pieces:
-            live = e >= p.shift and (e - p.shift) % 2 == 0
-            monos = amb.ring.monomials((e - p.shift) // 2) if live else ()
-            g.append(SPoly(2, {m: rng.randint(-3, 3) for m in monos}))
+        g = _random_element(amb, e, rng)
         for d in range(e, e + 7, 2):
             expected = [
-                amb.flatten(tuple(SPoly(2, {m: 1}) * c for c in g), d)
+                spoly_vector(amb, tuple(SPoly(2, {m: 1}) * c for c in g), d)
                 for m in amb.ring.monomials((d - e) // 2)
             ]
-            assert monomial_multiples(amb, amb.flatten(g, e), e, d) == expected, (e, d)
+            got = monomial_multiples(amb, [(e, spoly_vector(amb, g, e))], d)
+            assert got == expected, (e, d)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kmflag.bmp import compute_bmp
 from kmflag.errors import DegreeCapExceeded
 from kmflag.graded_algebra import SPoly
 from kmflag.moment_graph import (
@@ -16,6 +17,7 @@ from kmflag.weyl import (
     bruhat_leq,
     enumerate_ideal,
     format_word,
+    from_word,
     full_weyl_group,
     identity,
     simple_reflection,
@@ -127,19 +129,12 @@ def test_sections_restrict_into_smaller_opens(a2_graph):
     small_set = [v for v in a2_graph.vertices if v.length() <= 1]
     small = sections(sheaf, subset=small_set)
     for d in (0, 2, 4):
-        ambients = {v: sheaf.vertex_ambient(v) for v in small_set}
-        width = sum(ambients[v].dim(d) for v in small_set)
+        width = sum(sheaf.vertex_ambient(v).dim(d) for v in small_set)
         span = RowSpan(width)
         for sec in small[d]:
-            vec = []
-            for v in small_set:
-                vec.extend(ambients[v].flatten(sec[v], d))
-            span.add(vec)
+            span.add([c for v in small_set for c in sec[v]])
         for sec in big[d]:
-            vec = []
-            for v in small_set:
-                vec.extend(ambients[v].flatten(sec[v], d))
-            assert span.contains(vec)
+            assert span.contains([c for v in small_set for c in sec[v]])
 
 
 def test_sections_disjoint_union(a2_graph):
@@ -158,6 +153,38 @@ def test_structure_algebra_equals_constant_sheaf_sections(a2_graph):
     sheaf = constant_sheaf(a2_graph, 2)
     secs = sections(sheaf)
     assert len(secs[0]) == 1
+
+
+@pytest.mark.parametrize(
+    "graph_fixture, base_word",
+    [("a2_graph", None), ("a3_graph", [1])],
+    ids=["a2-constant", "a3-bmp-2"],
+)
+def test_sections_satisfy_edge_equations(graph_fixture, base_word, request):
+    # the definition of a section: one degree-d stalk vector per vertex,
+    # with equal images in the edge module at both ends of every edge
+    graph = request.getfixturevalue(graph_fixture)
+    if base_word is None:
+        sheaf = constant_sheaf(graph, 4)
+    else:
+        sheaf = compute_bmp(graph, from_word(graph.datum, base_word)).sheaf
+    for d, basis in sections(sheaf, max_degree=4).items():
+        assert basis
+        for sec in basis:
+            assert list(sec) == list(graph.vertices)
+            assert any(any(vec) for vec in sec.values())
+            for v, vec in sec.items():
+                assert len(vec) == sheaf.vertex_ambient(v).dim(d)
+            for e in graph.edges:
+                images = [
+                    [
+                        sum(a * b for a, b in zip(row, sec[v]))
+                        for row in sheaf.restriction_matrix(v, e, d)
+                    ]
+                    for v in (e.lower, e.upper)
+                ]
+                where = (format_word(e.lower), format_word(e.upper), d)
+                assert images[0] == images[1], where
 
 
 def test_covering_relations(a2_group):
