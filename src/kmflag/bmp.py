@@ -19,10 +19,19 @@ Stalks and edge modules are the sheaf's own ModuleAmbients, filled in as
 the sweep goes; ModuleAmbient.reduce_free pushes a stalk component into an
 edge module, and the boundary module at w is the sum of its lower edges'.
 A new generator's restrictions are the slices of its boundary row.
+
+The sweep stops at an even degree cap, by default L + 4 rounded up to
+even, where L = max length - l(base).  A stalk generator of degree d stands
+for q^(d/2) in the inverse Kazhdan-Lusztig polynomial Q_{base,w}, and
+deg Q_{x,w} <= (l(w) - l(x) - 1)/2, so no generator should lie above degree
+L - 1.  That bound is assumed, not proved here: generators above the cap are
+never seen.  The cap-boundary sentinel in cover_step guards it, raising
+CapBoundaryGenerator for any generator within one even step of the cap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ._linalg import solve_right
@@ -47,9 +56,15 @@ class BMPSheaf:
 
 
 def default_degree_cap(graph: MomentGraph, base: WeylElement) -> int:
-    """2*(max length - l(base)) + 4: above the inverse-KL degree bound with
-    an even step of margin for the cap-boundary sentinel."""
-    return 2 * (graph.ideal.max_length - base.length()) + 4
+    """L + 4 rounded up to even, with L = max length - l(base).
+
+    The inverse-KL degree bound puts every stalk generator at degree
+    L - 1 or below, so the cap-boundary sentinel (a generator at degree
+    cap - 2 or above) keeps a full even step of margin over it.  The bound
+    is an assumption that the sentinel guards, not a proof.
+    """
+    span = graph.ideal.max_length - base.length()
+    return span + 4 + span % 2
 
 
 def stalk_poincare(sheaf: BMPSheaf, w: WeylElement) -> QPoly:
@@ -101,8 +116,11 @@ def compute_bmp(
     restrictions: dict = {}
     sheaf = GraphSheaf(graph, nvars, shifts, edge_shifts, restrictions, cap)
     # per processed vertex and degree: the stalk component of each section
-    # existing then; sections born later are zero there
+    # existing then; sections born later are zero there.  An entry is
+    # dropped once the upper ends of all the vertex's edges are processed.
     comp: dict = {}
+    processed = {base}
+    pending = Counter(e.lower for e in graph.edges)
 
     shifts[base] = (0,)
     nsec = {d: sheaf.vertex_ambient(base).dim(d) for d in degrees}
@@ -112,7 +130,7 @@ def compute_bmp(
     }
 
     for w in support[1:]:
-        d_edges = [e for e in graph.edges if e.upper == w and e.lower in comp]
+        d_edges = [e for e in graph.edges if e.upper == w and e.lower in processed]
         edge_shifts.update((e, shifts[e.lower]) for e in d_edges)
         edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
         boundary = ModuleAmbient(nvars, [p for amb in edge_ambs for p in amb.pieces])
@@ -158,10 +176,17 @@ def compute_bmp(
                 restrictions[(w, e)].append(vec[start : start + amb.dim(d)])
                 start += amb.dim(d)
 
+        processed.add(w)
+        for e in d_edges:
+            pending[e.lower] -= 1
+        for v in (w, *(e.lower for e in d_edges)):
+            if not pending[v]:
+                comp.pop(v, None)
+
     # edges whose lower end is off the support carry the zero module
     for e in graph.edges:
         if e not in edge_shifts:
-            if e.lower in comp:
+            if e.lower in processed:
                 raise AssertionError("support edge left unprocessed")
             edge_shifts[e] = ()
             restrictions[(e.upper, e)] = [[] for _ in shifts[e.upper]]

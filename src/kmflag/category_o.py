@@ -101,7 +101,8 @@ def classify_weight(
 # -- characters -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# bounded: a command reads the table of one datum at one depth
+@lru_cache(maxsize=8)
 def _kostant_table(datum: RootDatum, depth: int) -> dict:
     """Partition counts of every nonnegative root-lattice vector of height
     at most depth, with affine imaginary multiplicities."""

@@ -359,7 +359,10 @@ def _build_parser() -> _Parser:
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if cap:
             p.add_argument("--degree-cap-override", type=int, default=None,
-                           dest="degree_cap_override")
+                           dest="degree_cap_override",
+                           help="even degree cap for the sheaf sweep (default "
+                                "L + 4 rounded up to even, L = max length "
+                                "minus base length)")
         return p
 
     add("roots", depth=True)

@@ -210,7 +210,9 @@ def _compositions(k: int, n: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+# bounded caches: one entry per generator count, and per (count, label);
+# a run meets far fewer distinct labels than the bound, so none is rebuilt
+@lru_cache(maxsize=16)
 def poly_ring(nvars: int) -> PolyRing:
     return PolyRing(nvars)
 
@@ -342,7 +344,7 @@ class LinearQuotient:
         return got
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def linear_quotient(nvars: int, coords) -> LinearQuotient:
     return LinearQuotient(poly_ring(nvars), coords)
 
@@ -514,16 +516,22 @@ def minimal_generators(module: GradedModuleRep):
 
     Degreewise sweep of cover_step: in each degree the new generators are
     a basis of the slice modulo everything reachable from lower degrees.
+    S lives in even degrees, so each parity of generator degree is its own
+    chain of slices; degrees come out ascending.
     """
     gens = module.generators
     if not gens:
         return (), []
     reps = []
-    prev_basis: list = []
-    for d in range(min(e for e, _ in gens), module.degree_cap + 1, 2):
+    # per parity present: a basis of the chain's last slice
+    chains: dict = {e % 2: [] for e, _ in gens}
+    for d in range(min(e for e, _ in gens), module.degree_cap + 1):
+        if d % 2 not in chains:
+            continue
         cands = [g for g in gens if g[0] == d]
-        prev_basis, fresh = cover_step(
-            module.ambient, prev_basis, [vec for _, vec in cands], d, module.degree_cap
+        chains[d % 2], fresh = cover_step(
+            module.ambient, chains[d % 2], [vec for _, vec in cands], d,
+            module.degree_cap,
         )
         reps.extend(cands[i] for i in fresh)
     return tuple(d for d, _ in reps), reps

@@ -308,7 +308,9 @@ class RootDatum:
         return tuple(int(c) for c in coords)
 
 
-@lru_cache(maxsize=None)
+# bounded: a datum rebuilt after eviction equals the old one, and Weyl
+# elements compare root data by value (weyl._same_datum)
+@lru_cache(maxsize=64)
 def _validate_cached(entries) -> RootDatum:
     a = _check_gcm(entries)
     d = _symmetrizer(a)

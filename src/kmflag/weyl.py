@@ -43,6 +43,12 @@ def _identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _same_datum(a: RootDatum, b: RootDatum) -> bool:
+    """Equal root data, by identity first: validate_cartan's cache is
+    bounded, so one matrix can be validated into two equal objects."""
+    return a is b or a == b
+
+
 class WeylElement:
     """Group element as a matrix acting on simple-root coordinates.
 
@@ -62,7 +68,7 @@ class WeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.datum is other.datum
+            and _same_datum(self.datum, other.datum)
             and self.matrix == other.matrix
         )
 
@@ -142,7 +148,7 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    if u.datum is not v.datum:
+    if not _same_datum(u.datum, v.datum):
         raise ValueError("elements belong to different root data")
     return WeylElement(
         u.datum, _matmul(u.matrix, v.matrix), _matmul(v.inv_matrix, u.inv_matrix)
@@ -186,7 +192,7 @@ def bruhat_leq(y: WeylElement, w: WeylElement) -> bool:
     y <= w  iff  min(y, ys) <= ws; iterating down to the identity leaves
     exactly the identity when y <= w.
     """
-    if y.datum is not w.datum:
+    if not _same_datum(y.datum, w.datum):
         raise ValueError("elements belong to different root data")
     if y.length() > w.length():
         return False

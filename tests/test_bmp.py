@@ -17,10 +17,14 @@ from kmflag.weyl import (
     enumerate_ideal,
     format_word,
     from_word,
+    full_weyl_group,
     identity,
 )
 
+from conftest import A2, A3, B2
 from oracles import bmp_cover_degrees
+
+G2 = [[2, -1], [-3, 2]]
 
 
 def test_a1_stalks(a1):
@@ -151,13 +155,27 @@ def test_larger_cap_same_stalks(a3, a3_graph):
     default = compute_bmp(a3_graph, base)
     bigger = compute_bmp(a3_graph, base, degree_cap=default.degree_cap + 4)
     assert bigger.stalks == default.stalks
+    # the default cap rests on the inverse-KL degree bound; the earlier
+    # default 2L + 4 (L = max length - l(base)) sees nothing more
+    for cartan in (A2, B2, G2, A3):
+        datum = validate_cartan(cartan)
+        group = full_weyl_group(datum)
+        for dual in (False, True):
+            graph = build_moment_graph(datum, group, dual=dual)
+            for base in graph.vertices:
+                default = compute_bmp(graph, base)
+                old_cap = 2 * (group.max_length - base.length()) + 4
+                wide = compute_bmp(graph, base, degree_cap=old_cap)
+                assert wide.stalks == default.stalks, (cartan, dual, format_word(base))
 
 
-def test_default_cap_formula(a3_graph, a2_graph):
-    e = identity(a3_graph.datum)
-    assert default_degree_cap(a3_graph, e) == 2 * 6 + 4
+def test_default_cap_formula(a2, a2_graph, a3, a3_graph):
+    # L + 4 rounded up to even, with L = max length - l(base)
+    assert default_degree_cap(a3_graph, identity(a3)) == 10  # L = 6
+    assert default_degree_cap(a3_graph, from_word(a3, [1])) == 10  # L = 5
+    assert default_degree_cap(a2_graph, identity(a2)) == 8  # L = 3
     w0 = max(a2_graph.vertices, key=lambda v: v.length())
-    assert default_degree_cap(a2_graph, w0) == 4
+    assert default_degree_cap(a2_graph, w0) == 4  # L = 0
 
 
 # A2 from e has stalks of rank 1 only; A3 from s2 has four of rank 2

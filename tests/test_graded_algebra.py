@@ -98,6 +98,20 @@ def test_minimal_generators_contract_examples():
     inside = _module(free, [(2, (x(0),)), (2, (x(1),))], 10)
     assert minimal_generators(inside)[0] == (2, 2)
 
+    # generators of both parities: each parity is its own chain, degrees
+    # come out ascending, and x1 times the odd generator is not minimal
+    parities = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(1)])
+    assert minimal_generators(
+        GradedModuleRep(parities, ((0, [1]), (1, [1])), 10)
+    ) == ((0, 1), [(0, [1]), (1, [1])])
+    odd_first = _module(
+        parities,
+        [(3, (SPoly.zero(2), x(0))), (1, (SPoly.zero(2), SPoly.constant(2, 1))),
+         (2, (x(1), SPoly.zero(2))), (0, (SPoly.constant(2, 1), SPoly.zero(2)))],
+        10,
+    )
+    assert minimal_generators(odd_first) == ((0, 1), [(0, [1]), (1, [1])])
+
     # a zero generator spans nothing
     free2 = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(0)])
     assert minimal_generators(GradedModuleRep(free2, ((0, [0, 0]),), 8)) == ((), [])

@@ -153,3 +153,12 @@ def test_coroot_coords(b2):
     assert b2.coroot_coords((1, 2)) == (1, 1)
     # short root alpha2 has coroot 2(alpha2)/(alpha2,alpha2); d2 = 1
     assert b2.coroot_coords((0, 1)) == (0, 1)
+
+
+def test_module_caches_are_bounded():
+    from kmflag.category_o import _kostant_table
+    from kmflag.graded_algebra import linear_quotient, poly_ring
+    from kmflag.root_datum import _validate_cached
+
+    for cache in (_kostant_table, poly_ring, linear_quotient, _validate_cached):
+        assert cache.cache_info().maxsize is not None, cache.__name__

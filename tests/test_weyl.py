@@ -249,3 +249,16 @@ def test_length_subadditive_with_inversion_criterion(a2_group):
             # equality iff the inversion sets stack without cancellation
             disjoint = not (inversion_set(inverse(u)) & inversion_set(v))
             assert (uv.length() == u.length() + v.length()) == disjoint
+
+
+def test_equal_root_data_give_equal_elements(a2):
+    # the validation cache is bounded, so one matrix may be validated into
+    # two distinct but equal data; their elements must still agree
+    import dataclasses
+
+    twin = dataclasses.replace(a2)
+    assert twin is not a2
+    u, v = from_word(a2, [0, 1]), from_word(twin, [0, 1])
+    assert u == v and hash(u) == hash(v)
+    assert multiply(u, from_word(twin, [0])) == from_word(a2, [0, 1, 0])
+    assert bruhat_leq(from_word(twin, [0]), u)
