@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Vectors are plain lists of int or Fraction.  Elimination is fraction-free:
-every row operation replaces v by b*v - a*row, with a and b the two entries
-of the pivot column divided by their gcd, and then divides the result by
-the gcd of its entries, so integral inputs stay Python ints throughout.
-Results are the unique scale-free answers - primitive reduced row-echelon
-rows, primitive kernel vectors - and values read off as quotients a/b are
-ints whenever b divides a.
+Vectors are plain lists of int or Fraction.  RowSpan, an incrementally
+kept reduced row-echelon span, is the one Gauss-Jordan routine:
+kernel_basis and solve_right reduce their rows through it.  Elimination is
+fraction-free: every row operation replaces v by b*v - a*row, with a and b
+the two entries of the pivot column divided by their gcd, and then divides
+the result by the gcd of its entries, so integral inputs stay Python ints
+throughout.  Results are the unique scale-free answers - primitive reduced
+row-echelon rows, primitive kernel vectors - and values read off as
+quotients a/b are ints whenever b divides a.
 """
 
 from __future__ import annotations
@@ -100,31 +102,6 @@ class RowSpan:
         return True
 
 
-def _rref(rows, ncols: int):
-    """Fraction-free Gauss-Jordan elimination on the first ncols columns of
-    a copy of rows.  Returns (rows, pivots): every row is an integer row
-    with no common factor; row i < len(pivots) has a nonzero entry in
-    column pivots[i] and zeros in every other pivot column; the remaining
-    rows vanish on the first ncols columns.  Pivots are not scaled to 1,
-    so values are read off as quotients by them."""
-    rows = [primitive(r) for r in rows]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        row_r = rows[r]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                rows[i] = _combine(rows[i], row_r, col)
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
 def _null_vectors(rows, pivots, ncols: int):
     """Primitive basis of the kernel of reduced rows, one vector per free
     column in increasing order."""
@@ -144,27 +121,40 @@ def _null_vectors(rows, pivots, ncols: int):
 
 def kernel_basis(rows, width: int):
     """Primitive integer basis of {v : R v = 0} for the given equation rows."""
-    reduced, pivots = _rref(rows, width)
-    return _null_vectors(reduced, pivots, width)
+    span = RowSpan(width)
+    for row in rows:
+        span.add(row)
+    return _null_vectors(span.rows, span.pivots, width)
 
 
 def solve_right(a_rows, rhs, ncols: int):
-    """Solve A x = b for every right-hand side b in rhs, with one
-    elimination of [A | B].  A is given as rows of length ncols; each b has
-    one entry per row of A.  Returns (xs, kernel): xs holds one solution per
-    b with free coordinates zero, kernel the primitive basis of {v : A v = 0}.
-    A zero b solves to the zero vector and stays out of the elimination.
-    Raises ValueError when some b is not in the column space of A."""
+    """One elimination of [A | B] for the right-hand sides b in rhs.
+
+    A is given as rows of length ncols; each b has one entry per row of A.
+    Returns (fresh, xs, kernel).  fresh lists, in order, the index of each b
+    outside the column span of A and of the b's adjoined before it; A' is A
+    with those b's adjoined as columns ncols, ncols + 1, ...  xs holds one
+    solution of A' x = b per b, with free coordinates zero, and kernel the
+    primitive basis of {v : A' v = 0}, which is zero on the adjoined
+    columns.  A zero b solves to the zero vector and stays out of the
+    elimination.
+    """
     live = [s for s, b in enumerate(rhs) if any(b)]
-    aug = [list(ar) + [rhs[s][i] for s in live] for i, ar in enumerate(a_rows)]
-    reduced, pivots = _rref(aug, ncols)
-    for row in reduced[len(pivots):]:
-        if any(row[ncols:]):
-            raise ValueError("inconsistent linear system")
-    xs = [[0] * ncols for _ in rhs]
+    span = RowSpan(ncols + len(live))
+    for i, ar in enumerate(a_rows):
+        span.add(list(ar) + [rhs[s][i] for s in live])
+    rows, pivots = span.rows, span.pivots
+    # pivots ascend, so A's pivot columns come first, then the adjoined b's
+    n_a = sum(p < ncols for p in pivots)
+    fresh = [live[p - ncols] for p in pivots[n_a:]]
+    width = ncols + len(fresh)
+    slots = pivots[:n_a] + list(range(ncols, width))
+    xs = [[0] * width for _ in rhs]
     for j, s in enumerate(live):
         x = xs[s]
-        for row, col in zip(reduced, pivots):
+        for row, p, slot in zip(rows, pivots, slots):
             if row[ncols + j]:
-                x[col] = _ratio(row[ncols + j], row[col])
-    return xs, _null_vectors(reduced, pivots, ncols)
+                x[slot] = _ratio(row[ncols + j], row[p])
+    pad = [0] * len(fresh)
+    kernel = [v + pad for v in _null_vectors(rows[:n_a], pivots[:n_a], ncols)]
+    return fresh, xs, kernel

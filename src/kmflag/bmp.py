@@ -5,9 +5,12 @@ Poincare polynomials against inverse Kazhdan-Lusztig polynomials.
 The construction sweeps the support {w : base <= w} in a linear extension
 of Bruhat order.  At each new vertex the sections built so far are pushed
 into the incident lower edges, the image is covered by a minimal graded
-free module (the new stalk, via graded_algebra.cover_step), and every
-section is lifted through the cover; the kernel of the cover map supplies
-the sections born at the new vertex.  Extending a section never changes its
+free module (the new stalk), and every section is lifted through the cover;
+the kernel of the cover map supplies the sections born at the new vertex.
+Each degree takes one graded_algebra.cover_step, a single elimination of
+the older generators' multiples beside the section images: its pivots
+among the images are the new generators, and the same reduced rows give
+every lift and the kernel.  Extending a section never changes its
 components at older vertices, so the section space is carried
 incrementally.  The image over the processed prefix equals the image over
 {y < w} because the canonical sheaf is flabby.  The oracle
@@ -34,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ._linalg import solve_right
 from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
 from .graded_algebra import ModuleAmbient, cover_step, monomial_multiples
 from .kl import KLTable, QPoly
@@ -136,7 +138,6 @@ def compute_bmp(
         boundary = ModuleAmbient(nvars, [p for amb in edge_ambs for p in amb.pieces])
 
         new_gens: list[tuple[int, list]] = []
-        image_basis_prev: list = []
         comp[w] = {}
         for d in degrees:
             # a section's boundary row is its edge images in edge order
@@ -147,17 +148,15 @@ def compute_bmp(
                 for s, row in enumerate(pi_rows):
                     row.extend(amb.reduce_free(src[s], d) if s < len(src) else zero)
 
-            image_basis_prev, fresh = cover_step(
-                boundary, image_basis_prev, pi_rows, d, cap,
+            # the older generators' degree-d multiples span (S+ M)_d; with
+            # the fresh images appended they are the new stalk's degree-d
+            # basis, (generator, monomial) ordered, and each section lifts
+            # through it
+            fresh, lifts, kernel = cover_step(
+                boundary, monomial_multiples(boundary, new_gens, d), pi_rows, d, cap,
                 where=f" at {format_word(w)}",
             )
             new_gens.extend((d, pi_rows[i]) for i in fresh)
-
-            # the new stalk's degree-d basis, (generator, monomial) ordered,
-            # mapped into the boundary; each section lifts through it
-            gen_cols = monomial_multiples(boundary, new_gens, d)
-            g_rows = [[col[r] for col in gen_cols] for r in range(boundary.dim(d))]
-            lifts, kernel = solve_right(g_rows, pi_rows, len(gen_cols))
             comp[w][d] = lifts + kernel
             nsec[d] += len(kernel)
 

@@ -394,6 +394,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             fields[name] = getattr(ns, name)
     if fields.get("depth", 0) < 0:
         raise _CliError("--depth must be nonnegative")
+    if size_limit < 1:
+        raise _CliError("--size-limit must be at least 1")
     return RunConfig(**fields)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import RowSpan
+from ._linalg import RowSpan, solve_right
 from .errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch, ZeroForm
 
 
@@ -476,27 +476,26 @@ def monomial_multiples(amb: ModuleAmbient, gens, d: int) -> list:
     return out
 
 
-def cover_step(amb: ModuleAmbient, prev_basis, candidates, d: int, cap: int,
+def cover_step(amb: ModuleAmbient, lower, candidates, d: int, cap: int,
                where: str = ""):
-    """One degree of a graded projective cover of a submodule M.
+    """One degree of a graded projective cover of a submodule M: one
+    solve_right of [lower | candidates].
 
-    prev_basis spans M_{d-2} (flattened); the degree-d candidates are added
-    in order to the span of S_2 * M_{d-2} = (S+ M)_d.  Returns a basis of
-    the resulting slice and the indices of the candidates that enlarged it,
-    which are the new minimal generators.  A generator within one even step
-    of the cap means the answer cannot be trusted; where is appended to
-    that error's message.
+    lower holds degree-d columns spanning (S+ M)_d = S_2 * M_{d-2}, such as
+    the monomial_multiples of the generators found below d; candidates are
+    degree-d vectors of M.  Returns solve_right's (fresh, xs, kernel): fresh
+    indexes the candidates that enlarge the span, the new minimal
+    generators, and xs and kernel are over lower followed by those
+    candidates.  A generator within one even step of the cap means the
+    answer cannot be trusted; where is appended to that error's message.
     """
-    span = RowSpan(amb.dim(d))
-    for v in prev_basis:
-        for var in range(amb.nvars):
-            span.add(amb.mul_var_vec(v, d - 2, var))
-    fresh = [i for i, v in enumerate(candidates) if span.add(v)]
+    a_rows = [[col[r] for col in lower] for r in range(amb.dim(d))]
+    fresh, xs, kernel = solve_right(a_rows, candidates, len(lower))
     if fresh and d >= cap - 2:
         raise CapBoundaryGenerator(
             f"generator in degree {d} within one step of cap {cap}{where}"
         )
-    return span.rows, fresh
+    return fresh, xs, kernel
 
 
 def degree_basis(module: GradedModuleRep, d: int):
@@ -514,24 +513,18 @@ def minimal_generators(module: GradedModuleRep):
     """Degrees of a minimal homogeneous generating set, with representatives
     drawn from the module's (degree, vector) generators.
 
-    Degreewise sweep of cover_step: in each degree the new generators are
-    a basis of the slice modulo everything reachable from lower degrees.
-    S lives in even degrees, so each parity of generator degree is its own
-    chain of slices; degrees come out ascending.
+    One cover_step per distinct generator degree, ascending: the new
+    generators of degree d are the candidates outside the span of the
+    degree-d multiples of those already found.  A representative of the
+    other parity contributes no column, so one sweep serves both parities.
+    Generators above degree_cap are ignored.
     """
-    gens = module.generators
-    if not gens:
-        return (), []
     reps = []
-    # per parity present: a basis of the chain's last slice
-    chains: dict = {e % 2: [] for e, _ in gens}
-    for d in range(min(e for e, _ in gens), module.degree_cap + 1):
-        if d % 2 not in chains:
-            continue
-        cands = [g for g in gens if g[0] == d]
-        chains[d % 2], fresh = cover_step(
-            module.ambient, chains[d % 2], [vec for _, vec in cands], d,
-            module.degree_cap,
+    for d in sorted({e for e, _ in module.generators if e <= module.degree_cap}):
+        cands = [g for g in module.generators if g[0] == d]
+        fresh, _, _ = cover_step(
+            module.ambient, monomial_multiples(module.ambient, reps, d),
+            [vec for _, vec in cands], d, module.degree_cap,
         )
         reps.extend(cands[i] for i in fresh)
     return tuple(d for d, _ in reps), reps

@@ -317,6 +317,12 @@ class BruhatIdeal:
             below[w] = bits
         return below
 
+    @cached_property
+    def sj_complement(self) -> frozenset:
+        """R^+ minus the cofinite stable set of the ideal: the finite union
+        of the inversion sets of its elements."""
+        return frozenset().union(*(inversion_set(x) for x in self.elements))
+
     def is_downward_closed(self) -> bool:
         """Whether every lower reflection of every element stays in the set."""
         return self._below is not None
@@ -413,13 +419,10 @@ def inversion_set(u: WeylElement) -> set[RootVector]:
     return out
 
 
-def sj_complement(ideal: BruhatIdeal) -> set[RootVector]:
-    """R^+ minus the cofinite stable set of the ideal: the finite union of
-    the inversion sets of its elements."""
-    out = set()
-    for x in ideal:
-        out |= inversion_set(x)
-    return out
+def sj_complement(ideal: BruhatIdeal) -> frozenset:
+    """R^+ minus the cofinite stable set of the ideal, computed once per
+    ideal."""
+    return ideal.sj_complement
 
 
 def stratum_dimension(x: WeylElement, ideal: BruhatIdeal) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,10 @@ from conftest import A2, A3, B2
 from oracles import bmp_cover_degrees
 
 G2 = [[2, -1], [-3, 2]]
+
+# _sheaf_digest() of the current construction; test_sheaf_digest_pinned says
+# when a change may re-pin it
+SHEAF_DIGEST = "9a7d547e7e14e31ef65d7bcc3b44aed124f461d975f4b36d216434fbc71923be"
 
 
 def test_a1_stalks(a1):
@@ -227,3 +232,36 @@ def test_sheaf_sections_surject_onto_stalks(graph_fixture, base_word, request):
             for sec in secs[d]:
                 span.add(sec[w])
             assert span.dim == dim, (format_word(w), d)
+
+
+def _sheaf_digest():
+    """SHA-256 over every stalk shift, edge shift and restriction of the
+    sheaf from every base of A2, B2, G2 and A3, plain and dual graph."""
+    h = hashlib.sha256()
+    for cartan in (A2, B2, G2, A3):
+        datum = validate_cartan(cartan)
+        group = full_weyl_group(datum)
+        for dual in (False, True):
+            graph = build_moment_graph(datum, group, dual=dual)
+            for base in graph.vertices:
+                sheaf = compute_bmp(graph, base).sheaf
+                h.update(f"{cartan} {dual} {format_word(base)}\n".encode())
+                for v in graph.vertices:
+                    h.update(f"{format_word(v)} {sheaf.vertex_shifts[v]}\n".encode())
+                for e in graph.edges:
+                    h.update(
+                        f"{format_word(e.lower)} {format_word(e.upper)} {e.label} "
+                        f"{sheaf.edge_shifts[e]} {sheaf.restrictions[(e.lower, e)]} "
+                        f"{sheaf.restrictions[(e.upper, e)]}\n".encode()
+                    )
+    return h.hexdigest()
+
+
+def test_sheaf_digest_pinned():
+    """The whole sheaf, not only its stalk degrees, is pinned: shifts and
+    restriction vectors on 100 bases.  A refactor of the construction must
+    keep this digest.  A deliberate change of basis (for example integral
+    normal forms for edge labels, ROADMAP open item 3) changes restriction
+    vectors without changing the sheaf; such a change must re-pin the digest
+    and say so in CHANGES.md."""
+    assert _sheaf_digest() == SHEAF_DIGEST

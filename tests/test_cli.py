@@ -201,6 +201,18 @@ def test_size_limit_exit_three(affine_file):
     assert json.loads(doc)["error_code"] == "SizeLimitExceeded"
 
 
+def test_size_limit_below_one_rejected(affine_file, monkeypatch):
+    args = ("weyl-ideal", "--cartan", affine_file, "--max-length", "2")
+    for extra in (("--size-limit", "-1"), ("--size-limit", "0")):
+        status, doc = run_cli(*args, *extra)
+        assert status == 1
+        assert json.loads(doc)["error_code"] == "UsageError"
+    monkeypatch.setenv("KMFLAG_SIZE_LIMIT", "-1")
+    status, doc = run_cli(*args)
+    assert status == 1
+    assert json.loads(doc)["error_code"] == "UsageError"
+
+
 @pytest.mark.parametrize(
     "cap, status, code", [("2", 3, "CapBoundaryGenerator"), ("3", 1, "ValueError")]
 )

@@ -98,8 +98,9 @@ def test_minimal_generators_contract_examples():
     inside = _module(free, [(2, (x(0),)), (2, (x(1),))], 10)
     assert minimal_generators(inside)[0] == (2, 2)
 
-    # generators of both parities: each parity is its own chain, degrees
-    # come out ascending, and x1 times the odd generator is not minimal
+    # generators of both parities: one of the other parity contributes no
+    # column, degrees come out ascending, and x1 times the odd generator is
+    # not minimal
     parities = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(1)])
     assert minimal_generators(
         GradedModuleRep(parities, ((0, [1]), (1, [1])), 10)
@@ -115,6 +116,10 @@ def test_minimal_generators_contract_examples():
     # a zero generator spans nothing
     free2 = ModuleAmbient(2, [CyclicPiece(0), CyclicPiece(0)])
     assert minimal_generators(GradedModuleRep(free2, ((0, [0, 0]),), 8)) == ((), [])
+    # a generator above the cap is ignored, though the others miss it:
+    # x2^6 in the second piece, degree 12 over cap 10
+    above = GradedModuleRep(free2, ((0, [1, 0]), (12, [0] * 7 + [1] + [0] * 6)), 10)
+    assert minimal_generators(above) == ((0,), [(0, [1, 0])])
     # a generator's vector must have ambient.dim(degree) coordinates;
     # [0, 1, 0, 0] is x1 in the first piece, which lies in degree 2
     with pytest.raises(DegreeMismatch):

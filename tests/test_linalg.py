@@ -90,10 +90,34 @@ def test_kernel_basis_spans_primitive_null_space(system):
     _check_kernel(rows, ncols, kernel_basis(rows, ncols))
 
 
+def _check_solve_right(rows, rhs, ncols):
+    """solve_right against the Q oracles, with A' the matrix A with the
+    fresh b's adjoined: fresh is the oracle's pivots among the b columns,
+    every x solves A' x = b with free coordinates zero, and the kernel is
+    that of A'."""
+    fresh, xs, kernel = solve_right(rows, rhs, ncols)
+    aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
+    _, pivots = rref_over_q(aug, ncols + len(rhs))
+    assert fresh == [p - ncols for p in pivots if p >= ncols]
+    extended = [list(r) + [rhs[s][i] for s in fresh] for i, r in enumerate(rows)]
+    width = ncols + len(fresh)
+    assert len(xs) == len(rhs)
+    for x, b in zip(xs, rhs):
+        assert len(x) == width
+        assert _apply(extended, x) == b
+        assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
+        assert _ints_where_integral(x)
+        if not any(b):
+            assert x == [0] * width
+    _check_kernel(extended, width, kernel)
+    return fresh, xs
+
+
 @settings(max_examples=300)
 @given(any_matrices, st.data())
 def test_solve_right_consistent(system, data):
-    # planted solutions, with zero right-hand sides mixed in
+    # planted solutions, with zero right-hand sides mixed in: nothing is
+    # adjoined, and the solutions are the oracle's
     rows, ncols = system
     rhs = []
     for _ in range(data.draw(st.integers(0, 4))):
@@ -103,23 +127,16 @@ def test_solve_right_consistent(system, data):
             x = data.draw(st.lists(st.one_of(entries, fraction_entries),
                                    min_size=ncols, max_size=ncols))
             rhs.append(_apply(rows, x))
-    xs, kernel = solve_right(rows, rhs, ncols)
-    assert len(xs) == len(rhs)
-    for x, b in zip(xs, rhs):
-        assert len(x) == ncols
-        assert _apply(rows, x) == b
-        assert _ints_where_integral(x)
-        if not any(b):
-            assert x == [0] * ncols
+    fresh, xs = _check_solve_right(rows, rhs, ncols)
+    assert fresh == []
     assert xs == solve_over_q(rows, rhs, ncols)
-    _check_kernel(rows, ncols, kernel)
-    assert kernel == kernel_basis(rows, ncols)
 
 
 @settings(max_examples=300)
 @given(matrices(max_rows=5), st.data())
-def test_solve_right_inconsistent_raises(system, data):
-    # append a row c * r_j (or zero) whose right-hand side is off by delta
+def test_solve_right_adjoins_inconsistent(system, data):
+    # append a row c * r_j (or zero) whose right-hand side is off by delta:
+    # that b is adjoined as a column, and solves to its own unit vector
     rows, ncols = system
     if rows:
         j = data.draw(st.integers(0, len(rows) - 1))
@@ -130,8 +147,24 @@ def test_solve_right_inconsistent_raises(system, data):
     b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     delta = data.draw(st.integers(1, 3))
     b_last = (c * b[j] if j is not None else 0) + delta
-    with pytest.raises(ValueError):
-        solve_right(rows + [last], [b + [b_last]], ncols)
+    fresh, xs = _check_solve_right(rows + [last], [b + [b_last]], ncols)
+    assert fresh == [0]
+    assert xs == [[0] * ncols + [1]]
+
+
+@settings(max_examples=300)
+@given(any_matrices, st.data())
+def test_solve_right_any_rhs(system, data):
+    # arbitrary right-hand sides, copies and zeros among them
+    rows, ncols = system
+    rhs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if rhs and data.draw(st.booleans()):
+            rhs.append(list(data.draw(st.sampled_from(rhs))))
+        else:
+            rhs.append(data.draw(st.lists(entries, min_size=len(rows),
+                                          max_size=len(rows))))
+    _check_solve_right(rows, rhs, ncols)
 
 
 @settings(max_examples=300)
