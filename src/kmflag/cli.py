@@ -382,7 +382,10 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     size_limit = ns.size_limit
     if size_limit is None:
         env = os.environ.get("KMFLAG_SIZE_LIMIT")
-        size_limit = int(env) if env else weyl_mod.DEFAULT_SIZE_LIMIT
+        try:
+            size_limit = int(env) if env else weyl_mod.DEFAULT_SIZE_LIMIT
+        except ValueError:
+            raise _CliError(f"KMFLAG_SIZE_LIMIT must be an integer, not {env!r}") from None
     fields = {
         "command": ns.command,
         "cartan_path": ns.cartan_path,

@@ -6,18 +6,15 @@ P_{y,w} = 0 unless y <= w, P_{w,w} = 1, and the same shape for Q, which is
 defined by the signed inversion identity
 
     sum_{x <= y <= w} (-1)^{l(y)-l(x)} P_{x,y} Q_{y,w} = delta_{x,w}.
+
+Both recursions run on positions in the ideal, reading descents, s*y and
+the intervals [y, w] off the ideal's tables; no Weyl element is multiplied.
 """
 
 from __future__ import annotations
 
-from .errors import IntervalNotContained
-from .weyl import (
-    BruhatIdeal,
-    WeylElement,
-    bruhat_leq,  # noqa: F401  perfbench's tracer test expects it bound here
-    multiply,
-    simple_reflection,
-)
+# bruhat_leq and multiply stay bound for perfbench's tracer test
+from .weyl import BruhatIdeal, WeylElement, bruhat_leq, multiply  # noqa: F401
 
 
 class QPoly:
@@ -120,97 +117,90 @@ ONE = QPoly((1,))
 Q = QPoly((0, 1))
 
 
+def _positions(bits: int) -> list[int]:
+    """The set bits of an int, ascending."""
+    return [k for k, b in enumerate(reversed(bin(bits))) if b == "1"]
+
+
 class KLTable:
-    """Memoized P and Q polynomials scoped to one downward-closed ideal.
+    """Memoized P and Q polynomials scoped to one downward-closed ideal,
+    keyed by position pairs; the public methods take elements."""
 
-    descent_choice, when given, maps (w, left_descents) to the index used
-    by the recursion; the result must not depend on it.
-    """
-
-    def __init__(self, ideal: BruhatIdeal, descent_choice=None):
-        if not ideal.is_downward_closed():
-            raise IntervalNotContained("ideal is not downward closed")
+    def __init__(self, ideal: BruhatIdeal):
+        # ideal.below raises IntervalNotContained unless the ideal is closed
         self.ideal = ideal
-        self._descent_choice = descent_choice
+        self._below, self._left = ideal.below, ideal.left
+        self._length = [w.length() for w in ideal.elements]
         self._p: dict = {}
         self._q: dict = {}
 
     def kl_polynomial(self, y: WeylElement, w: WeylElement) -> QPoly:
-        self.ideal.require(y, w)
-        return self._kl(y, w)
+        return self._kl(self.ideal.position(y), self.ideal.position(w))
 
-    def _kl(self, y: WeylElement, w: WeylElement) -> QPoly:
+    def _kl(self, y: int, w: int) -> QPoly:
         key = (y, w)
         cached = self._p.get(key)
         if cached is not None:
             return cached
         if y == w:
             p = ONE
-        elif not self.ideal.leq(y, w):
+        elif not self._below[w] >> y & 1:
             p = ZERO
         else:
             p = self._kl_recursion(y, w)
             if any(c < 0 for c in p.coeffs):
                 raise AssertionError(f"negative KL coefficient in {p.text()}")
-            if 2 * p.degree > w.length() - y.length() - 1:
+            if 2 * p.degree > self._length[w] - self._length[y] - 1:
                 raise AssertionError("KL degree bound violated")
         self._p[key] = p
         return p
 
-    def _kl_recursion(self, y: WeylElement, w: WeylElement) -> QPoly:
-        datum = self.ideal.datum
-        descents = w.left_descents()
-        if self._descent_choice is None:
-            i = descents[0]
-        else:
-            i = self._descent_choice(w, descents)
-        s = simple_reflection(datum, i)
-        sy = multiply(s, y)
-        if sy.length() > y.length():
+    def _kl_recursion(self, y: int, w: int) -> QPoly:
+        # s = s_i for the least left descent i of w; every z <= w has s*z
+        # in the ideal (lifting property), so only w's row can hold None
+        left = self._left
+        i = next(i for i, sw in enumerate(left[w]) if sw is not None and sw < w)
+        sy, v = left[y][i], left[w][i]
+        if sy > y:
             # s is a descent of w but an ascent of y: P_{y,w} = P_{sy,w}
             return self._kl(sy, w)
-        v = multiply(s, w)
         p = self._kl(sy, v) + self._kl(y, v).shift(1)
-        for z in self.ideal:
-            if z == v or i not in z.left_descents():
+        for z in _positions(self._below[v]):
+            # mu(z, v): the q^d coefficient of P_{z,v}; z = v gives d odd
+            d, odd = divmod(self._length[v] - self._length[z] - 1, 2)
+            if odd or left[z][i] > z or not self._below[z] >> y & 1:
                 continue
-            if not (self.ideal.leq(y, z) and self.ideal.leq(z, v)):
-                continue
-            m = self.mu_coefficient(z, v)
+            m = self._kl(z, v).coefficient(d)
             if m:
-                exp = w.length() - z.length()
-                if exp % 2:
-                    raise AssertionError("odd exponent in the mu correction")
-                p = p - m * self._kl(y, z).shift(exp // 2)
+                p = p - m * self._kl(y, z).shift(d + 1)
         return p
 
     def mu_coefficient(self, z: WeylElement, v: WeylElement) -> int:
         """Coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, else 0."""
-        d = v.length() - z.length() - 1
-        if d < 0 or d % 2:
+        d, odd = divmod(v.length() - z.length() - 1, 2)
+        if d < 0 or odd:
             return 0
-        return self._kl(z, v).coefficient(d // 2)
+        return self.kl_polynomial(z, v).coefficient(d)
 
     def inverse_kl(self, x: WeylElement, w: WeylElement) -> QPoly:
-        self.ideal.require(x, w)
-        return self._inv(x, w)
+        return self._inv(self.ideal.position(x), self.ideal.position(w))
 
-    def _inv(self, x: WeylElement, w: WeylElement) -> QPoly:
+    def _inv(self, x: int, w: int) -> QPoly:
         key = (x, w)
         cached = self._q.get(key)
         if cached is not None:
             return cached
         if x == w:
             q = ONE
-        elif not self.ideal.leq(x, w):
+        elif not self._below[w] >> x & 1:
             q = ZERO
         else:
             q = ZERO
-            for y in self.ideal:
-                if y == x or not (self.ideal.leq(x, y) and self.ideal.leq(y, w)):
+            for y in _positions(self._below[w]):
+                if y == x or not self._below[y] >> x & 1:
                     continue
                 term = self._kl(x, y) * self._inv(y, w)
-                if (y.length() - x.length()) % 2:
+                if (self._length[y] - self._length[x]) % 2:
                     q = q + term
                 else:
                     q = q - term

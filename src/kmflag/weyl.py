@@ -3,7 +3,10 @@
 Elements act on simple-root coordinates as integer matrices; identity of an
 element is identity of its matrix.  The canonical reduced word of an element
 is the one produced by greedily peeling the smallest-index left descent,
-which is the lexicographically least greedy word.
+which is the lexicographically least greedy word.  A BruhatIdeal works on
+the positions of its canonically sorted elements: one table of lower
+reflections gives its Bruhat order as bitsets and its simple neighbours
+s_i w, which KLTable reads in place of matrix products.
 """
 
 from __future__ import annotations
@@ -266,14 +269,20 @@ def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
 
 @dataclass(frozen=True)
 class BruhatIdeal:
-    """A finite downward-closed subset of the Weyl group."""
+    """A finite subset of the Weyl group, meant to be downward closed, with
+    `elements` sorted canonically so that positions follow Bruhat order.
+    Its reflection table holds, per position, the pairs (beta, position of
+    s_beta w) of lower_reflections(w) that stay in the set: one pass per
+    element, read by lower_reflections, `left`, `below` and leq."""
 
     datum: RootDatum
     elements: tuple[WeylElement, ...]
     description: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_pos", {w: k for k, w in enumerate(self.elements)})
+        elements = tuple(sorted(self.elements, key=WeylElement.sort_key))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_pos", {w: k for k, w in enumerate(elements)})
 
     def __contains__(self, w) -> bool:
         return w in self._pos
@@ -288,33 +297,52 @@ class BruhatIdeal:
     def max_length(self) -> int:
         return max(w.length() for w in self.elements)
 
+    def position(self, w) -> int:
+        """The index of w in `elements`."""
+        if w not in self._pos:
+            raise NotInIdeal(f"element {format_word(w)} not in the ideal")
+        return self._pos[w]
+
     def require(self, *ws):
         for w in ws:
-            if w not in self:
-                raise NotInIdeal(f"element {format_word(w)} not in the ideal")
+            self.position(w)
+
+    @cached_property
+    def _lower(self) -> tuple[tuple, ...]:
+        pos = self._pos
+        return tuple(
+            tuple((beta, pos[y]) for beta, y in lower_reflections(w) if y in pos)
+            for w in self.elements
+        )
 
     def lower_reflections(self, w) -> list[tuple[RootVector, WeylElement]]:
         """The pairs of lower_reflections(w) whose lower element lies in the
         set, given as the set's own element."""
-        return [
-            (beta, self.elements[self._pos[y]])
-            for beta, y in lower_reflections(w)
-            if y in self._pos
-        ]
+        return [(beta, self.elements[j]) for beta, j in self._lower[self.position(w)]]
 
     @cached_property
-    def _below(self) -> dict | None:
-        """Each element's Bruhat lower set as a bitset over positions in
-        `elements`, built in length order; None if the set is not
-        downward closed."""
-        below = {}
-        for w in sorted(self.elements, key=WeylElement.length):
-            bits = 1 << self._pos[w]
-            for _, y in lower_reflections(w):
-                if y not in below:
-                    return None
-                bits |= below[y]
-            below[w] = bits
+    def left(self) -> tuple[list, ...]:
+        """left[k][i] is the position of s_i w_k, or None outside the set,
+        read off the table's pairs whose root has height 1 (alpha_i)."""
+        left = tuple([None] * self.datum.rank for _ in self.elements)
+        for k, lower in enumerate(self._lower):
+            for beta, j in lower:
+                if sum(beta) == 1:
+                    i = beta.index(1)
+                    left[k][i], left[j][i] = j, k
+        return left
+
+    @cached_property
+    def below(self) -> list[int]:
+        """Each element's Bruhat lower set as a bitset over positions."""
+        if not self.is_downward_closed():
+            raise IntervalNotContained(f"{self.description} is not downward closed")
+        below = []
+        for k, lower in enumerate(self._lower):
+            bits = 1 << k
+            for _, j in lower:
+                bits |= below[j]
+            below.append(bits)
         return below
 
     @cached_property
@@ -324,23 +352,12 @@ class BruhatIdeal:
         return frozenset().union(*(inversion_set(x) for x in self.elements))
 
     def is_downward_closed(self) -> bool:
-        """Whether every lower reflection of every element stays in the set."""
-        return self._below is not None
+        """Whether every element keeps all l(w) of its lower reflections."""
+        return all(len(low) == w.length() for w, low in zip(self.elements, self._lower))
 
     def leq(self, y: WeylElement, w: WeylElement) -> bool:
         """Bruhat order between two elements of the set, as a bit test."""
-        below = self._below
-        if below is None:
-            raise IntervalNotContained(f"{self.description} is not downward closed")
-        try:
-            return bool(below[w] >> self._pos[y] & 1)
-        except KeyError:
-            self.require(y, w)
-            raise
-
-
-def _canonical_sort(elements) -> tuple[WeylElement, ...]:
-    return tuple(sorted(elements, key=WeylElement.sort_key))
+        return bool(self.below[self.position(w)] >> self.position(y) & 1)
 
 
 def enumerate_ideal(
@@ -370,7 +387,7 @@ def enumerate_ideal(
                             )
         frontier = nxt
         length += 1
-    return BruhatIdeal(datum, _canonical_sort(found), f"max_length={max_length}")
+    return BruhatIdeal(datum, tuple(found), f"max_length={max_length}")
 
 
 def full_weyl_group(
@@ -386,20 +403,22 @@ def full_weyl_group(
 def ideal_from_generators(
     datum: RootDatum, generators, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BruhatIdeal:
-    """Downward closure of explicit generators, by a downward search along
-    lower_reflections."""
+    """Downward closure of explicit generators.  For s a left descent of w,
+    [e, w] = [e, sw] u s[e, sw], so [e, w] grows from {e} along w's reduced
+    word, read from the right."""
     found = set()
-    stack = list(generators)
-    while stack:
-        w = stack.pop()
-        if w in found:
-            continue
-        found.add(w)
+    for g in generators:
+        lower = {identity(datum)}
+        for i in reversed(g.reduced_word()):
+            s = simple_reflection(datum, i)
+            lower |= {multiply(s, y) for y in lower}
+            if len(lower) > size_limit:
+                break
+        found |= lower
         if len(found) > size_limit:
             raise SizeLimitExceeded(f"ideal exceeds size limit {size_limit}")
-        stack.extend(y for _, y in lower_reflections(w))
     desc = "generators=" + ";".join(format_word(g) for g in generators)
-    return BruhatIdeal(datum, _canonical_sort(found), desc)
+    return BruhatIdeal(datum, tuple(found), desc)
 
 
 # -- inversion sets and stratum dimensions --------------------------------

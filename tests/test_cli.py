@@ -207,10 +207,12 @@ def test_size_limit_below_one_rejected(affine_file, monkeypatch):
         status, doc = run_cli(*args, *extra)
         assert status == 1
         assert json.loads(doc)["error_code"] == "UsageError"
-    monkeypatch.setenv("KMFLAG_SIZE_LIMIT", "-1")
-    status, doc = run_cli(*args)
-    assert status == 1
-    assert json.loads(doc)["error_code"] == "UsageError"
+    for env in ("-1", "abc"):
+        monkeypatch.setenv("KMFLAG_SIZE_LIMIT", env)
+        status, doc = run_cli(*args)
+        assert status == 1
+        assert json.loads(doc)["error_code"] == "UsageError"
+    assert "KMFLAG_SIZE_LIMIT" in json.loads(doc)["message"]
 
 
 @pytest.mark.parametrize(

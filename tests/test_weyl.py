@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kmflag.errors import NotInIdeal, NotRealRoot, SizeLimitExceeded
+from kmflag.kl import KLTable
 from kmflag.weyl import (
     BruhatIdeal,
     WeightCoords,
@@ -145,6 +146,32 @@ def test_downward_closed_matches_oracle_on_all_subsets(a2_group):
         subset = tuple(w for k, w in enumerate(elems) if mask >> k & 1)
         expected = all(y in subset for y, x in oracle if x in subset)
         assert BruhatIdeal(a2_group.datum, subset, "subset").is_downward_closed() == expected
+
+
+@pytest.mark.parametrize(
+    "group_fixture, table_fixture",
+    [("a3_group", "a3_table"), ("affine_a1_ideal6", "affine_a1_table")],
+)
+def test_ideal_tables_from_shuffled_elements(group_fixture, table_fixture, request):
+    group = request.getfixturevalue(group_fixture)
+    table = request.getfixturevalue(table_fixture)
+    datum = group.datum
+    shuffled = random.Random(11).sample(group.elements, len(group))
+    for order in (group.elements[::-1], tuple(shuffled)):
+        ideal = BruhatIdeal(datum, order, "shuffled")
+        keys = [(w.length(), w.reduced_word()) for w in ideal.elements]
+        assert keys == sorted(keys) and ideal.elements == group.elements
+        for k, w in enumerate(ideal.elements):
+            for i in range(datum.rank):
+                sw = multiply(simple_reflection(datum, i), w)
+                expected = ideal.position(sw) if sw in ideal else None
+                assert ideal.left[k][i] == expected, (format_word(w), i)
+        fresh = KLTable(ideal)
+        for y in ideal:
+            for w in ideal:
+                assert ideal.leq(y, w) == bruhat_leq(y, w)
+                assert fresh.kl_polynomial(y, w) == table.kl_polynomial(y, w)
+                assert fresh.inverse_kl(y, w) == table.inverse_kl(y, w)
 
 
 def test_reflection_matches_word(a2):
