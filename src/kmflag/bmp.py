@@ -3,20 +3,26 @@ vertex through graded projective covers, and the cross-check of its stalk
 Poincare polynomials against inverse Kazhdan-Lusztig polynomials.
 
 The construction sweeps the support {w : base <= w} in a linear extension
-of Bruhat order.  At each new vertex the sections built so far are pushed
-into the incident lower edges, the image is covered by a minimal graded
-free module (the new stalk), and every section is lifted through the cover;
-the kernel of the cover map supplies the sections born at the new vertex.
-Each degree takes one graded_algebra.cover_step, a single elimination of
-the older generators' multiples beside the section images: its pivots
-among the images are the new generators, and the same reduced rows give
-every lift and the kernel.  Extending a section never changes its
-components at older vertices, so the section space is carried
-incrementally.  The image over the processed prefix equals the image over
-{y < w} because the canonical sheaf is flabby.  The oracle
-bmp_cover_degrees in tests/oracles.py checks that claim: it recomputes the
-sections over {y < w} from scratch with moment_graph.sections and covers
-their image at every support vertex.
+of Bruhat order.  The sections over the processed prefix form a module
+over S (Fiebig, Adv. Math. 2008), and the sweep carries only its
+generators: each a degree and one stalk vector per processed vertex, the
+base starting with one, 1 at the base.  At a new vertex w, degree by
+degree, the degree-d generators are pushed into the incident lower edges;
+their images, together with S_2 times the image found below d, span the
+image of all sections in degree d.  One graded_algebra.cover_step, a
+single elimination of the older stalk generators' multiples beside those
+images, gives the new stalk generators (the pivots among the images), a
+lift of each generator to w, and the kernel K_d of the stalk onto the
+image.  Every section then extends to w, an S-multiple by the same
+multiple of its generator's lift, and the sections born at w are the
+kernel; its generators are the degree-d kernel vectors outside S_2 K_{d-2},
+found by a second cover_step in the free stalk.  A generator's vector at
+a vertex is dropped once the upper ends of all that vertex's edges are
+processed, and the generator once all its vectors are.  The image over
+the processed prefix equals the image over {y < w} because the canonical
+sheaf is flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks
+that claim: it recomputes the sections over {y < w} from scratch with
+moment_graph.sections and covers their image at every support vertex.
 
 Stalks and edge modules are the sheaf's own ModuleAmbients, filled in as
 the sweep goes; ModuleAmbient.reduce_free pushes a stalk component into an
@@ -29,7 +35,9 @@ for q^(d/2) in the inverse Kazhdan-Lusztig polynomial Q_{base,w}, and
 deg Q_{x,w} <= (l(w) - l(x) - 1)/2, so no generator should lie above degree
 L - 1.  That bound is assumed, not proved here: generators above the cap are
 never seen.  The cap-boundary sentinel in cover_step guards it, raising
-CapBoundaryGenerator for any generator within one even step of the cap.
+CapBoundaryGenerator for any stalk generator within one even step of the
+cap.  The kernel step runs without it: a section generator born near the
+cap is legitimate.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
-from .graded_algebra import ModuleAmbient, cover_step, monomial_multiples
+from .graded_algebra import ModuleAmbient, cover_step
 from .kl import KLTable, QPoly
 from .moment_graph import GraphSheaf, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
@@ -117,19 +125,14 @@ def compute_bmp(
     edge_shifts: dict = {}
     restrictions: dict = {}
     sheaf = GraphSheaf(graph, nvars, shifts, edge_shifts, restrictions, cap)
-    # per processed vertex and degree: the stalk component of each section
-    # existing then; sections born later are zero there.  An entry is
-    # dropped once the upper ends of all the vertex's edges are processed.
-    comp: dict = {}
+    # S-module generators of the sections over the processed prefix: a
+    # degree and {vertex: stalk vector}; a missing vertex means zero.  A
+    # vector is dropped once the upper ends of all its vertex's edges are
+    # processed, and a generator once all its vectors are.
+    gens = [(0, {base: [1]})]
     processed = {base}
     pending = Counter(e.lower for e in graph.edges)
-
     shifts[base] = (0,)
-    nsec = {d: sheaf.vertex_ambient(base).dim(d) for d in degrees}
-    comp[base] = {
-        d: [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        for d, n in nsec.items()
-    }
 
     for w in support[1:]:
         d_edges = [e for e in graph.edges if e.upper == w and e.lower in processed]
@@ -137,32 +140,45 @@ def compute_bmp(
         edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
         boundary = ModuleAmbient(nvars, [p for amb in edge_ambs for p in amb.pieces])
 
-        new_gens: list[tuple[int, list]] = []
-        comp[w] = {}
+        # stalk generators (degree, boundary row) and kernel generators
+        # (degree, stalk vector), each with its store of multiples
+        new_gens: list = []
+        kernel_gens: list = []
+        new_store: dict = {}
+        kernel_store: dict = {}
         for d in degrees:
-            # a section's boundary row is its edge images in edge order
-            pi_rows = [[] for _ in range(nsec[d])]
-            for e, amb in zip(d_edges, edge_ambs):
-                src = comp[e.lower][d]
-                zero = [0] * amb.dim(d)
-                for s, row in enumerate(pi_rows):
-                    row.extend(amb.reduce_free(src[s], d) if s < len(src) else zero)
+            # a generator's boundary row is its edge images in edge order
+            cands = [vecs for deg, vecs in gens if deg == d]
+            rows = []
+            for vecs in cands:
+                row = []
+                for e, amb in zip(d_edges, edge_ambs):
+                    vec = vecs.get(e.lower)
+                    row.extend(amb.reduce_free(vec, d) if vec else [0] * amb.dim(d))
+                rows.append(row)
 
             # the older generators' degree-d multiples span (S+ M)_d; with
-            # the fresh images appended they are the new stalk's degree-d
-            # basis, (generator, monomial) ordered, and each section lifts
-            # through it
+            # the fresh rows appended they are the new stalk's degree-d
+            # basis, (generator, monomial) ordered, and each candidate
+            # lifts through it: an S-multiple lifts by the same multiple
             fresh, lifts, kernel = cover_step(
-                boundary, monomial_multiples(boundary, new_gens, d), pi_rows, d, cap,
+                boundary, new_gens, rows, d, cap, new_store,
                 where=f" at {format_word(w)}",
             )
-            new_gens.extend((d, pi_rows[i]) for i in fresh)
-            comp[w][d] = lifts + kernel
-            nsec[d] += len(kernel)
+            shifts[w] = tuple(s for s, _ in new_gens)
+            for vecs, lift in zip(cands, lifts):
+                if any(lift):
+                    vecs[w] = lift
+            if kernel and pending[w]:
+                # sections born at w, needed only if w has upper edges: the
+                # kernel vectors outside S_2 K_{d-2}
+                born, _, _ = cover_step(
+                    sheaf.vertex_ambient(w), kernel_gens, kernel, d, store=kernel_store
+                )
+                gens.extend((d, {w: kernel[i]}) for i in born)
 
         # a new generator restricts to e by its boundary row's slice on e;
         # the lower end restricts by the identity, generator t to piece t's 1
-        shifts[w] = tuple(d for d, _ in new_gens)
         for e, amb in zip(d_edges, edge_ambs):
             restrictions[(w, e)] = []
             restrictions[(e.lower, e)] = [
@@ -178,9 +194,11 @@ def compute_bmp(
         processed.add(w)
         for e in d_edges:
             pending[e.lower] -= 1
-        for v in (w, *(e.lower for e in d_edges)):
-            if not pending[v]:
-                comp.pop(v, None)
+        done = [v for v in (w, *(e.lower for e in d_edges)) if not pending[v]]
+        for _, vecs in gens:
+            for v in done:
+                vecs.pop(v, None)
+        gens = [g for g in gens if g[1]]
 
     # edges whose lower end is off the support carry the zero module
     for e in graph.edges:

@@ -399,6 +399,9 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         raise _CliError("--depth must be nonnegative")
     if size_limit < 1:
         raise _CliError("--size-limit must be at least 1")
+    cap = fields.get("degree_cap_override")
+    if cap is not None and (cap < 0 or cap % 2):
+        raise _CliError(f"--degree-cap-override must be even and nonnegative, not {cap}")
     return RunConfig(**fields)
 
 

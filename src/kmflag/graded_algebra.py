@@ -192,12 +192,28 @@ class PolyRing:
     def __init__(self, nvars: int):
         self.nvars = nvars
         self._monos: dict[int, tuple] = {}
+        self._steps: dict[int, tuple] = {}
 
     def monomials(self, k: int) -> tuple:
         got = self._monos.get(k)
         if got is None:
             got = tuple(sorted(_compositions(k, self.nvars)))
             self._monos[k] = got
+        return got
+
+    def steps(self, k: int) -> tuple:
+        """Per monomial m of degree k >= 1, in monomials() order, the pair
+        (i, j): x_i is m's first variable and m / x_i is monomial j of
+        degree k - 1."""
+        got = self._steps.get(k)
+        if got is None:
+            index = {m: j for j, m in enumerate(self.monomials(k - 1))}
+            out = []
+            for m in self.monomials(k):
+                i = next(t for t, e in enumerate(m) if e)
+                out.append((i, index[m[:i] + (m[i] - 1,) + m[i + 1 :]]))
+            got = tuple(out)
+            self._steps[k] = got
         return got
 
 
@@ -456,45 +472,63 @@ class GradedModuleRep:
                 )
 
 
-def monomial_multiples(amb: ModuleAmbient, gens, d: int) -> list:
+def monomial_multiples(amb: ModuleAmbient, gens, d: int, store=None) -> list:
     """The degree-d columns m * g: for each (degree, vector) generator g in
     order, one per monomial m carrying g to degree d, in monomials() order.
-    A generator above d or of the other parity contributes no column."""
+    A generator above d or of the other parity contributes no column.
+
+    Each column is x_i times the column of m / x_i one degree lower, x_i
+    being m's first variable; the multiplication maps commute, so this is
+    exact.  store, a dict the caller keeps across calls on one append-only
+    generator list, holds each generator's columns of the last degree
+    asked for, so an ascending sweep builds every column once.  The
+    ambient may gain pieces between calls, provided a new piece is dead in
+    the degrees already built.
+    """
+    store = {} if store is None else store
+    steps = amb.ring.steps
     out = []
-    for e, vec in gens:
+    for j, (e, vec) in enumerate(gens):
         rel = d - e
         if rel < 0 or rel % 2:
             continue
-        for mono in amb.ring.monomials(rel // 2):
-            col = vec
-            deg = e
-            for var, count in enumerate(mono):
-                for _ in range(count):
-                    col = amb.mul_var_vec(col, deg, var)
-                    deg += 2
-            out.append(col)
+        deg, cols = store.get(j, (e, [vec]))
+        if deg > d:
+            deg, cols = e, [vec]
+        while deg < d:
+            cols = [
+                amb.mul_var_vec(cols[prev], deg, var)
+                for var, prev in steps((deg - e) // 2 + 1)
+            ]
+            deg += 2
+        store[j] = (d, cols)
+        out.extend(cols)
     return out
 
 
-def cover_step(amb: ModuleAmbient, lower, candidates, d: int, cap: int,
-               where: str = ""):
+def cover_step(amb: ModuleAmbient, gens: list, candidates, d: int,
+               cap: int | None = None, store=None, where: str = ""):
     """One degree of a graded projective cover of a submodule M: one
     solve_right of [lower | candidates].
 
-    lower holds degree-d columns spanning (S+ M)_d = S_2 * M_{d-2}, such as
-    the monomial_multiples of the generators found below d; candidates are
-    degree-d vectors of M.  Returns solve_right's (fresh, xs, kernel): fresh
-    indexes the candidates that enlarge the span, the new minimal
-    generators, and xs and kernel are over lower followed by those
-    candidates.  A generator within one even step of the cap means the
-    answer cannot be trusted; where is appended to that error's message.
+    gens lists the (degree, vector) generators of M found below d, and
+    lower their monomial_multiples (kept in store), which span
+    (S+ M)_d = S_2 * M_{d-2}; candidates are degree-d vectors of M.
+    Returns solve_right's (fresh, xs, kernel): fresh indexes the
+    candidates that enlarge the span, the new minimal generators, which
+    are appended to gens as (d, vector); xs and kernel are over lower
+    followed by those candidates.  With a cap, a generator within one even
+    step of it means the answer cannot be trusted, and raises
+    CapBoundaryGenerator; where is appended to that error's message.
     """
+    lower = monomial_multiples(amb, gens, d, store)
     a_rows = [[col[r] for col in lower] for r in range(amb.dim(d))]
     fresh, xs, kernel = solve_right(a_rows, candidates, len(lower))
-    if fresh and d >= cap - 2:
+    if fresh and cap is not None and d >= cap - 2:
         raise CapBoundaryGenerator(
             f"generator in degree {d} within one step of cap {cap}{where}"
         )
+    gens.extend((d, candidates[i]) for i in fresh)
     return fresh, xs, kernel
 
 
@@ -520,11 +554,10 @@ def minimal_generators(module: GradedModuleRep):
     Generators above degree_cap are ignored.
     """
     reps = []
+    store = {}
     for d in sorted({e for e, _ in module.generators if e <= module.degree_cap}):
-        cands = [g for g in module.generators if g[0] == d]
-        fresh, _, _ = cover_step(
-            module.ambient, monomial_multiples(module.ambient, reps, d),
-            [vec for _, vec in cands], d, module.degree_cap,
+        cover_step(
+            module.ambient, reps, [vec for e, vec in module.generators if e == d],
+            d, module.degree_cap, store,
         )
-        reps.extend(cands[i] for i in fresh)
     return tuple(d for d, _ in reps), reps

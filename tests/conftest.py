@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from kmflag.kl import KLTable
 from kmflag.moment_graph import build_moment_graph
@@ -11,6 +12,12 @@ A2 = [[2, -1], [-1, 2]]
 B2 = [[2, -1], [-2, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 AFFINE_A1 = [[2, -2], [-2, 2]]
+
+# each off-diagonal pair (a_ij, a_ji) of a drawn GCM is zero in both entries
+# or negative in both, down to -3: finite, affine and indefinite matrices alike
+GCM_PAIRS = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-3, -1), st.integers(-3, -1))
+)
 
 # every property test draws the same examples on every run, keeps no example
 # database and has no per-example deadline

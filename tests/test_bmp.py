@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from kmflag.bmp import (
     compute_bmp,
@@ -9,7 +11,12 @@ from kmflag.bmp import (
     stalk_poincare,
     verify_against_inverse_kl,
 )
-from kmflag.errors import BaseNotVertex, CapBoundaryGenerator, IntervalNotContained
+from kmflag.errors import (
+    BaseNotVertex,
+    CapBoundaryGenerator,
+    IntervalNotContained,
+    NotSymmetrizable,
+)
 from kmflag.kl import KLTable, QPoly
 from kmflag.moment_graph import build_moment_graph, sections
 from kmflag.root_datum import validate_cartan
@@ -22,14 +29,16 @@ from kmflag.weyl import (
     identity,
 )
 
-from conftest import A2, A3, B2
+from conftest import A2, A3, B2, GCM_PAIRS
 from oracles import bmp_cover_degrees
 
 G2 = [[2, -1], [-3, 2]]
+B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 
 # _sheaf_digest() of the current construction; test_sheaf_digest_pinned says
 # when a change may re-pin it
-SHEAF_DIGEST = "9a7d547e7e14e31ef65d7bcc3b44aed124f461d975f4b36d216434fbc71923be"
+SHEAF_DIGEST = "f2d7bff0eb1caca32b6b442acb935882fb181c46f202a41335fb977bd0aca459"
 
 
 def test_a1_stalks(a1):
@@ -77,7 +86,25 @@ def test_a3_nontrivial_stalk(a3, a3_graph, a3_table):
     assert stalk_poincare(sheaf, target) == a3_table.inverse_kl(base, target)
 
 
-@pytest.mark.parametrize("fixture", ["a2_graph", "b2_graph", "affine_a1_graph"])
+@pytest.fixture(scope="module")
+def b3_group():
+    return full_weyl_group(validate_cartan(B3))
+
+
+@pytest.fixture(scope="module")
+def b3_graph(b3_group):
+    return build_moment_graph(b3_group.datum, b3_group)
+
+
+@pytest.fixture(scope="module")
+def b3_dual_graph(b3_group):
+    return build_moment_graph(b3_group.datum, b3_group, dual=True)
+
+
+# every base; B3's 48 bases on each graph reach stalks of rank 3
+@pytest.mark.parametrize(
+    "fixture", ["a2_graph", "b2_graph", "affine_a1_graph", "b3_graph", "b3_dual_graph"]
+)
 def test_verify_against_inverse_kl_small(fixture, request):
     graph = request.getfixturevalue(fixture)
     table = KLTable(graph.ideal)
@@ -85,6 +112,24 @@ def test_verify_against_inverse_kl_small(fixture, request):
         report = verify_against_inverse_kl(compute_bmp(graph, base), table)
         assert report.all_match, format_word(base)
         assert report.entries[0].stalk == QPoly((1,))
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+def test_rank3_stalks_match_inverse_kl(pairs):
+    # the random rank-3 GCMs of test_kl's test_rank3_kl_matches_oracle
+    (a01, a10), (a02, a20), (a12, a21) = pairs
+    try:
+        datum = validate_cartan([[2, a01, a02], [a10, 2, a12], [a20, a21, 2]])
+    except NotSymmetrizable:
+        assume(False)
+    ideal = enumerate_ideal(datum, 3)
+    table = KLTable(ideal)
+    plain = build_moment_graph(datum, ideal)
+    dual = build_moment_graph(datum, ideal, dual=True)
+    for base in ideal:
+        sheaf = compute_bmp(plain, base)
+        assert verify_against_inverse_kl(sheaf, table).all_match, format_word(base)
+        assert compute_bmp(dual, base).stalks == sheaf.stalks, format_word(base)
 
 
 def test_verify_interval_not_contained(a2, a2_graph):
@@ -121,7 +166,8 @@ def test_order_validation(a2, a2_graph):
         compute_bmp(a2_graph, e, order=support[:-1])
 
 
-def test_strict_mode_agrees(a2_graph, b2_graph, b2, b2_group, affine_a1, a3, a3_graph):
+def test_strict_mode_agrees(a2_graph, b2_graph, b2, b2_group, affine_a1, a3, a3_graph,
+                            b3_graph):
     small_affine = enumerate_ideal(affine_a1, 4)
     affine_graph = build_moment_graph(affine_a1, small_affine)
     b2_dual = build_moment_graph(b2, b2_group, dual=True)
@@ -130,8 +176,12 @@ def test_strict_mode_agrees(a2_graph, b2_graph, b2, b2_group, affine_a1, a3, a3_
         for graph in (a2_graph, b2_graph, b2_dual, affine_graph)
         for base in graph.vertices
     ]
-    # two stalks of rank 2
+    hyperbolic = validate_cartan(HYPERBOLIC3)
+    hyperbolic_graph = build_moment_graph(hyperbolic, enumerate_ideal(hyperbolic, 4))
+    cases.extend((hyperbolic_graph, base) for base in hyperbolic_graph.vertices)
+    # two stalks of rank 2 on A3; eight of rank 2 or more on B3
     cases.append((a3_graph, from_word(a3, [0, 2])))
+    cases.append((b3_graph, from_word(b3_graph.datum, [1, 0, 2])))
     for graph, base in cases:
         fast = compute_bmp(graph, base)
         support = {w: s for w, s in fast.stalks.items() if bruhat_leq(base, w)}

@@ -216,16 +216,20 @@ def test_size_limit_below_one_rejected(affine_file, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cap, status, code", [("2", 3, "CapBoundaryGenerator"), ("3", 1, "ValueError")]
+    "cap, status, code",
+    [("2", 3, "CapBoundaryGenerator"), ("3", 1, "UsageError"), ("-2", 1, "UsageError")],
 )
 def test_bmp_degree_cap_override_errors(a2_file, cap, status, code):
-    # cap 2 leaves no margin above the base generator; an odd cap is invalid
+    # cap 2 leaves no margin above the base generator; an odd or negative
+    # cap is a usage error that names the option
     got, doc = run_cli(
         "bmp", "--cartan", a2_file, "--max-length", "3", "--base", "e",
         "--degree-cap-override", cap,
     )
     assert got == status
     assert json.loads(doc)["error_code"] == code
+    if code == "UsageError":
+        assert "--degree-cap-override" in json.loads(doc)["message"]
 
 
 def test_size_limit_env_var(affine_file, monkeypatch):

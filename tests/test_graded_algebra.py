@@ -310,3 +310,56 @@ def test_monomial_multiples_match_spoly_products():
             ]
             got = monomial_multiples(amb, [(e, spoly_vector(amb, g, e))], d)
             assert got == expected, (e, d)
+
+
+def _chain_multiples(amb, gens, d):
+    """monomial_multiples by whole monomial chains: each column multiplies
+    its generator by the variables in order, from the generator's degree."""
+    out = []
+    for e, vec in gens:
+        if d < e or (d - e) % 2:
+            continue
+        for mono in amb.ring.monomials((d - e) // 2):
+            col, deg = vec, e
+            for var, count in enumerate(mono):
+                for _ in range(count):
+                    col = amb.mul_var_vec(col, deg, var)
+                    deg += 2
+            out.append(col)
+    return out
+
+
+def test_memoized_multiples_non_unit_label():
+    # G2's label 2a1 + 3a2 substitutes x1 = -3/2 x2, so the columns carry
+    # Fractions; a store kept over an ascending sweep, a fresh store and
+    # no store all give the plain chains
+    amb = ModuleAmbient(2, [CyclicPiece(0, (2, 3)), CyclicPiece(2, (2, 3)), CyclicPiece(2)])
+    rng = random.Random(13)
+    gens = [(e, [rng.randint(-3, 3) for _ in range(amb.dim(e))]) for e in (0, 2, 2, 4)]
+    store = {}
+    seen_fraction = False
+    for d in range(0, 13, 2):
+        expected = _chain_multiples(amb, gens, d)
+        assert monomial_multiples(amb, gens, d, store) == expected, d
+        assert monomial_multiples(amb, gens, d) == expected, d
+        seen_fraction |= any(type(c) is Fraction for col in expected for c in col)
+    assert seen_fraction
+    # asking again below the stored degree rebuilds from the generator
+    assert monomial_multiples(amb, gens, 4, store) == _chain_multiples(amb, gens, 4)
+
+
+def test_memoized_multiples_growing_free_ambient():
+    # a free stalk gains one or two pieces in each degree, and the
+    # generator list grows, between calls on one store, as compute_bmp's
+    # kernel step does
+    rng = random.Random(14)
+    shifts = []
+    gens = []
+    store = {}
+    for d in range(0, 11, 2):
+        shifts.extend([d] * (d % 4 // 2 + 1))
+        amb = ModuleAmbient(3, [CyclicPiece(s) for s in shifts])
+        got = monomial_multiples(amb, gens, d, store)
+        assert got == _chain_multiples(amb, gens, d), d
+        if d < 8:
+            gens.append((d, [rng.randint(-2, 2) for _ in range(amb.dim(d))]))

@@ -16,6 +16,7 @@ from kmflag.weyl import (
     simple_reflection,
 )
 
+from conftest import GCM_PAIRS as PAIRS
 from oracles import KLOracle
 
 HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
@@ -89,13 +90,6 @@ def test_kl_matches_r_polynomial_oracle(group_fixture, request):
                 format_word(y),
                 format_word(w),
             )
-
-
-# each off-diagonal pair (a_ij, a_ji) is zero in both entries or negative in
-# both, down to -3: finite, affine and indefinite rank-3 matrices alike
-PAIRS = st.one_of(
-    st.just((0, 0)), st.tuples(st.integers(-3, -1), st.integers(-3, -1))
-)
 
 
 @given(st.tuples(PAIRS, PAIRS, PAIRS))
