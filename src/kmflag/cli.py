@@ -140,14 +140,15 @@ def _kl_rows(config: RunConfig, inverse: bool):
     datum = _load_datum(config)
     ideal = _ideal(datum, config)
     table = KLTable(ideal)
-    rows = []
-    for y in ideal:
-        for w in ideal:
-            if not ideal.leq(y, w):
-                continue
-            poly = table.inverse_kl(y, w) if inverse else table.kl_polynomial(y, w)
-            rows.append((y, w, poly))
-    return rows
+    # position-keyed entry points: the pairs y <= w are read off the bitsets
+    poly = table._inv if inverse else table._kl
+    els, below = ideal.elements, ideal.below
+    return [
+        (els[y], els[w], poly(y, w))
+        for y in range(len(els))
+        for w in range(len(els))
+        if below[w] >> y & 1
+    ]
 
 
 def _cmd_kl(config: RunConfig, inverse=False):

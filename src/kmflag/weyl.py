@@ -3,10 +3,14 @@
 Elements act on simple-root coordinates as integer matrices; identity of an
 element is identity of its matrix.  The canonical reduced word of an element
 is the one produced by greedily peeling the smallest-index left descent,
-which is the lexicographically least greedy word.  A BruhatIdeal works on
-the positions of its canonically sorted elements: one table of lower
-reflections gives its Bruhat order as bitsets and its simple neighbours
-s_i w, which KLTable reads in place of matrix products.
+which is the lexicographically least greedy word.  The ideal path multiplies
+no two general matrices: a left step s_i w rewrites one row of the matrix
+and makes a rank-one update of the inverse, enumerate_ideal hands every
+element its canonical word as it finds it, and the lower reflections
+(beta, s_beta w) of w = s_i v are those of v moved by s_i.  A BruhatIdeal
+works on the positions of its canonically sorted elements: one table of
+lower reflections gives its Bruhat order as bitsets and its simple
+neighbours s_i w, which KLTable reads in place of matrix products.
 """
 
 from __future__ import annotations
@@ -113,9 +117,8 @@ class WeylElement:
             ds = w.left_descents()
             if not ds:
                 break
-            i = ds[0]
-            word.append(i)
-            w = multiply(simple_reflection(w.datum, i), w)
+            word.append(ds[0])
+            w = _left_step(w, ds[0])
         if not w.is_identity():
             raise AssertionError("descent peeling did not reach the identity")
         self._word = tuple(word)
@@ -148,6 +151,23 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
         for r in range(n)
     )
     return WeylElement(datum, m, m)
+
+
+def _left_step(w: WeylElement, i: int) -> WeylElement:
+    """s_i w in O(n^2): s_i rewrites row i of the matrix, and the inverse
+    w^{-1} s_i is w^{-1} minus its column i times row i of the Cartan
+    matrix."""
+    a = w.datum.cartan[i]
+    m = w.matrix
+    row = list(m[i])
+    for k, c in enumerate(a):
+        if c:
+            row = [x - c * y for x, y in zip(row, m[k])]
+    inv = tuple(
+        tuple(x - r[i] * c for x, c in zip(r, a)) if r[i] else r
+        for r in w.inv_matrix
+    )
+    return WeylElement(w.datum, m[:i] + (tuple(row),) + m[i + 1 :], inv)
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -257,14 +277,37 @@ def is_reflection(t: WeylElement) -> RootVector | None:
 # -- finite open ideals ---------------------------------------------------
 
 
+def _lower_pairs(w: WeylElement, memo: dict) -> tuple:
+    """The pairs (beta, s_beta w), beta in the inversion set of w, sorted by
+    beta.  For w = s_i v with i the first letter of w's canonical word,
+    N(w) = {alpha_i} u s_i N(v) and s_{s_i gamma} w = s_i (s_gamma v), so
+    each pair costs one reflect_simple and one left step.  memo maps
+    elements to their pairs and gains w and every element of w's word
+    that was not in it, in the set of the caller or not."""
+    chain = []
+    while w not in memo:
+        word = w.reduced_word()
+        if not word:
+            memo[w] = ()
+            break
+        chain.append(w)
+        w = _left_step(w, word[0])
+        w._word, w._length = word[1:], len(word) - 1
+    v, pairs = w, memo[w]
+    for w in reversed(chain):
+        i = w._word[0]
+        pairs = [(w.datum.simple_root(i), v)]
+        pairs += [(w.datum.reflect_simple(i, g), _left_step(y, i)) for g, y in memo[v]]
+        pairs = memo[w] = tuple(sorted(pairs, key=lambda p: p[0]))
+        v = w
+    return pairs
+
+
 def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
     """The pairs (beta, s_beta w), beta in the inversion set of w in sorted
     order: exactly the reflections t with t w < w.  These relations generate
     the Bruhat order (Bjorner-Brenti, GTM 231, ch. 2)."""
-    return [
-        (beta, multiply(reflection(w.datum, beta), w))
-        for beta in sorted(inversion_set(w))
-    ]
+    return list(_lower_pairs(w, {}))
 
 
 @dataclass(frozen=True)
@@ -272,8 +315,9 @@ class BruhatIdeal:
     """A finite subset of the Weyl group, meant to be downward closed, with
     `elements` sorted canonically so that positions follow Bruhat order.
     Its reflection table holds, per position, the pairs (beta, position of
-    s_beta w) of lower_reflections(w) that stay in the set: one pass per
-    element, read by lower_reflections, `left`, `below` and leq."""
+    s_beta w) of lower_reflections(w) that stay in the set: one recursion
+    over the elements, read by lower_reflections, `left`, `below`, leq and
+    sj_complement."""
 
     datum: RootDatum
     elements: tuple[WeylElement, ...]
@@ -308,11 +352,25 @@ class BruhatIdeal:
             self.position(w)
 
     @cached_property
+    def _pairs(self) -> tuple[tuple, ...]:
+        """Every lower pair of every element, inside the set or not.  The
+        pairs of the last element are checked against the definition,
+        s_beta w = reflection(beta) w as a matrix product."""
+        memo = {}
+        pairs = tuple(_lower_pairs(w, memo) for w in self.elements)
+        if pairs:
+            top = self.elements[-1]
+            for beta, y in pairs[-1]:
+                if multiply(reflection(self.datum, beta), top) != y:
+                    raise AssertionError(f"lower pair {beta} of the last element is wrong")
+        return pairs
+
+    @cached_property
     def _lower(self) -> tuple[tuple, ...]:
         pos = self._pos
         return tuple(
-            tuple((beta, pos[y]) for beta, y in lower_reflections(w) if y in pos)
-            for w in self.elements
+            tuple((beta, pos[y]) for beta, y in pairs if y in pos)
+            for pairs in self._pairs
         )
 
     def lower_reflections(self, w) -> list[tuple[RootVector, WeylElement]]:
@@ -349,7 +407,7 @@ class BruhatIdeal:
     def sj_complement(self) -> frozenset:
         """R^+ minus the cofinite stable set of the ideal: the finite union
         of the inversion sets of its elements."""
-        return frozenset().union(*(inversion_set(x) for x in self.elements))
+        return frozenset(beta for pairs in self._pairs for beta, _ in pairs)
 
     def is_downward_closed(self) -> bool:
         """Whether every element keeps all l(w) of its lower reflections."""
@@ -363,28 +421,40 @@ class BruhatIdeal:
 def enumerate_ideal(
     datum: RootDatum, max_length: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BruhatIdeal:
-    """All elements of length <= max_length, by BFS on right multiplication."""
+    """All elements of length <= max_length, by BFS on left multiplication.
+
+    From w, the step s_i with w^{-1}(alpha_i) > 0 is taken only when i is
+    the least left descent of u = s_i w, that is when no j < i has
+    u^{-1}(alpha_j) = w^{-1}(alpha_j) - a_ij w^{-1}(alpha_i) negative.  So
+    every element is found once, from its canonical parent, and its
+    canonical word is (i,) + word(w)."""
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
+    a = datum.cartan
+    n = datum.rank
     e = identity(datum)
     e._length, e._word = 0, ()
-    found = {e}
+    found = [e]
     frontier = [e]
     length = 0
     while frontier and length < max_length:
         nxt = []
         for w in frontier:
-            for i in range(datum.rank):
-                if is_positive_vector(w._image_of_simple(i)):
-                    ws = multiply(w, simple_reflection(datum, i))
-                    if ws not in found:
-                        ws._length = length + 1
-                        found.add(ws)
-                        nxt.append(ws)
-                        if len(found) > size_limit:
-                            raise SizeLimitExceeded(
-                                f"ideal exceeds size limit {size_limit}"
-                            )
+            cols = [w._image_of_simple(j, inverse=True) for j in range(n)]
+            for i, col in enumerate(cols):
+                if not is_positive_vector(col):
+                    continue
+                if any(
+                    is_negative_vector([x - a[i][j] * y for x, y in zip(cols[j], col)])
+                    for j in range(i)
+                ):
+                    continue
+                u = _left_step(w, i)
+                u._length, u._word = length + 1, (i,) + w._word
+                nxt.append(u)
+            if len(found) + len(nxt) > size_limit:
+                raise SizeLimitExceeded(f"ideal exceeds size limit {size_limit}")
+        found += nxt
         frontier = nxt
         length += 1
     return BruhatIdeal(datum, tuple(found), f"max_length={max_length}")
@@ -410,8 +480,7 @@ def ideal_from_generators(
     for g in generators:
         lower = {identity(datum)}
         for i in reversed(g.reduced_word()):
-            s = simple_reflection(datum, i)
-            lower |= {multiply(s, y) for y in lower}
+            lower |= {_left_step(y, i) for y in lower}
             if len(lower) > size_limit:
                 break
         found |= lower
@@ -425,15 +494,9 @@ def ideal_from_generators(
 
 
 def inversion_set(u: WeylElement) -> set[RootVector]:
-    """{alpha > 0 : u^{-1}(alpha) < 0}, read off the reduced word."""
-    word = u.reduced_word()
-    datum = u.datum
-    prefix = identity(datum)
-    out = set()
-    for i in word:
-        out.add(prefix.apply(datum.simple_root(i)))
-        prefix = multiply(prefix, simple_reflection(datum, i))
-    if len(out) != len(word):
+    """{alpha > 0 : u^{-1}(alpha) < 0}: the roots of the lower pairs of u."""
+    out = {beta for beta, _ in _lower_pairs(u, {})}
+    if len(out) != u.length():
         raise AssertionError("inversion set size must equal the length")
     return out
 

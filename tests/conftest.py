@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
+from kmflag.errors import NotSymmetrizable
 from kmflag.kl import KLTable
 from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import validate_cartan
@@ -18,6 +19,17 @@ AFFINE_A1 = [[2, -2], [-2, 2]]
 GCM_PAIRS = st.one_of(
     st.just((0, 0)), st.tuples(st.integers(-3, -1), st.integers(-3, -1))
 )
+
+
+def rank3_datum(pairs):
+    """The root datum of the rank-3 GCM with the three drawn off-diagonal
+    pairs; a draw that is not symmetrizable is rejected."""
+    (a01, a10), (a02, a20), (a12, a21) = pairs
+    try:
+        return validate_cartan([[2, a01, a02], [a10, 2, a12], [a20, a21, 2]])
+    except NotSymmetrizable:
+        assume(False)
+
 
 # every property test draws the same examples on every run, keeps no example
 # database and has no per-example deadline

@@ -28,7 +28,15 @@ from kmflag.graded_algebra import (
 )
 from kmflag.kl import QPoly
 from kmflag.moment_graph import sections
-from kmflag.weyl import bruhat_leq, inverse, multiply, simple_reflection
+from kmflag.weyl import (
+    WeylElement,
+    bruhat_leq,
+    identity,
+    inverse,
+    multiply,
+    reflection,
+    simple_reflection,
+)
 
 
 class KLOracle:
@@ -333,3 +341,51 @@ def solve_over_q(a_rows, rhs, ncols: int):
             x[col] = row[ncols + s]
         xs.append(x)
     return xs
+
+
+def word_oracle(w):
+    """The canonical word of w by peeling its least left descent with one
+    matrix product per letter, on a copy that carries no cached word."""
+    v = WeylElement(w.datum, w.matrix, w.inv_matrix)
+    word = []
+    while descents := v.left_descents():
+        i = descents[0]
+        word.append(i)
+        v = multiply(simple_reflection(v.datum, i), v)
+    assert v.is_identity()
+    return tuple(word)
+
+
+def inversion_set_oracle(w):
+    """{s_{i_1} ... s_{i_{k-1}} alpha_{i_k}} over the prefixes of w's word,
+    one matrix product per prefix."""
+    prefix = identity(w.datum)
+    out = set()
+    for i in word_oracle(w):
+        out.add(prefix.apply(w.datum.simple_root(i)))
+        prefix = multiply(prefix, simple_reflection(w.datum, i))
+    return out
+
+
+def lower_reflections_oracle(w):
+    """(beta, reflection(beta) w) over the sorted inversion set."""
+    return [
+        (beta, multiply(reflection(w.datum, beta), w))
+        for beta in sorted(inversion_set_oracle(w))
+    ]
+
+
+def ideal_oracle(datum, max_length):
+    """The elements of length <= max_length, by BFS on right multiplication."""
+    found = {identity(datum)}
+    frontier = list(found)
+    for _ in range(max_length):
+        nxt = []
+        for w in frontier:
+            for i in range(datum.rank):
+                ws = multiply(w, simple_reflection(datum, i))
+                if ws not in found:
+                    found.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return found

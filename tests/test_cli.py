@@ -2,8 +2,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmflag.cli import main
+
+from conftest import GCM_PAIRS, rank3_datum
 
 
 @pytest.fixture()
@@ -257,3 +261,15 @@ def test_byte_determinism(a2_file):
     assert first == second
     args = ("bmp", "--cartan", a2_file, "--max-length", "3", "--base", "e")
     assert run_cli(*args) == run_cli(*args)
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+def test_rank3_cli_runs_are_byte_identical(tmp_path_factory, pairs):
+    datum = rank3_datum(pairs)
+    path = tmp_path_factory.mktemp("gcm") / "cartan.json"
+    path.write_text(json.dumps({"cartan": [list(row) for row in datum.cartan]}))
+    for command in ("weyl-ideal", "moment-graph", "kl", "strata"):
+        args = (command, "--cartan", str(path), "--max-length", "4")
+        first = run_cli(*args)
+        assert first[0] == 0, first[1]
+        assert run_cli(*args) == first, command

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmflag.errors import HeightBoundExceeded, NotGCM, NotSymmetrizable, UnsupportedKind
 from kmflag.root_datum import height, validate_cartan
+
+from conftest import GCM_PAIRS, rank3_datum
 
 
 def test_rank_one_is_finite():
@@ -146,6 +150,15 @@ def test_langlands_dual_roundtrip(b2):
     dual = b2.langlands_dual()
     assert dual.cartan == ((2, -2), (-1, 2))
     assert dual.langlands_dual().cartan == b2.cartan
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+def test_rank3_langlands_dual_is_involution(pairs):
+    datum = rank3_datum(pairs)
+    dual = datum.langlands_dual()
+    assert dual.cartan == tuple(zip(*datum.cartan))
+    assert dual.kind == datum.kind
+    assert dual.langlands_dual() == datum
 
 
 def test_coroot_coords(b2):

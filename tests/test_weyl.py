@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmflag.errors import NotInIdeal, NotRealRoot, SizeLimitExceeded
 from kmflag.kl import KLTable
@@ -26,7 +28,13 @@ from kmflag.weyl import (
     stratum_dimension,
 )
 
-from oracles import bruhat_closure_oracle
+from conftest import GCM_PAIRS, rank3_datum
+from oracles import (
+    bruhat_closure_oracle,
+    ideal_oracle,
+    lower_reflections_oracle,
+    word_oracle,
+)
 
 
 def test_simple_reflection_involution(a2):
@@ -146,6 +154,32 @@ def test_downward_closed_matches_oracle_on_all_subsets(a2_group):
         subset = tuple(w for k, w in enumerate(elems) if mask >> k & 1)
         expected = all(y in subset for y, x in oracle if x in subset)
         assert BruhatIdeal(a2_group.datum, subset, "subset").is_downward_closed() == expected
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+def test_rank3_ideal_tables_match_oracle(pairs):
+    # words, reflection table, neighbours, bitsets and inversion sets of the
+    # left-step path against the matrix-product oracles
+    datum = rank3_datum(pairs)
+    ideal = enumerate_ideal(datum, 4)
+    assert set(ideal) == ideal_oracle(datum, 4)
+    below = {}  # Bruhat lower sets, closed under the oracle's lower pairs
+    comp = set()
+    for k, w in enumerate(ideal):
+        assert w.reduced_word() == word_oracle(w)
+        pairs = lower_reflections_oracle(w)
+        roots = {beta for beta, _ in pairs}
+        assert inversion_set(w) == roots
+        comp |= roots
+        expected = [(beta, ideal.position(y)) for beta, y in pairs if y in ideal]
+        assert list(ideal._lower[k]) == expected, format_word(w)
+        for i in range(datum.rank):
+            sw = multiply(simple_reflection(datum, i), w)
+            assert ideal.left[k][i] == (ideal.position(sw) if sw in ideal else None)
+        below[w] = {w}.union(*(below[y] for _, y in pairs))
+        bits = sum(1 << j for j, y in enumerate(ideal) if y in below[w])
+        assert ideal.below[k] == bits, format_word(w)
+    assert ideal.sj_complement == comp
 
 
 @pytest.mark.parametrize(
