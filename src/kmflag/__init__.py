@@ -24,11 +24,8 @@ from .graded_algebra import (
     CyclicPiece,
     GradedModuleRep,
     ModuleAmbient,
-    SPoly,
     degree_basis,
-    divide_by_linear,
     minimal_generators,
-    reduce_mod_linear,
 )
 from .kl import KLTable, QPoly
 from .moment_graph import (
@@ -39,7 +36,6 @@ from .moment_graph import (
     constant_sheaf,
     covering_relations,
     sections,
-    structure_algebra_check,
 )
 from .root_datum import RootDatum, validate_cartan
 from .weyl import (

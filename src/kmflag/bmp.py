@@ -56,13 +56,22 @@ from .weyl import WeylElement, bruhat_leq, format_word  # noqa: F401
 @dataclass
 class BMPSheaf:
     base: WeylElement
-    graph: MomentGraph
-    #: vertex -> tuple of generator degrees (ascending); empty off support
-    stalks: dict
     #: stalk and edge shifts, and restrictions as flattened generator
     #: images in the edge modules; consumable by sections()
     sheaf: GraphSheaf
-    degree_cap: int
+
+    @property
+    def graph(self) -> MomentGraph:
+        return self.sheaf.graph
+
+    @property
+    def stalks(self) -> dict:
+        """Vertex -> tuple of generator degrees (ascending); empty off support."""
+        return self.sheaf.vertex_shifts
+
+    @property
+    def degree_cap(self) -> int:
+        return self.sheaf.degree_cap
 
 
 def default_degree_cap(graph: MomentGraph, base: WeylElement) -> int:
@@ -209,7 +218,7 @@ def compute_bmp(
             restrictions[(e.upper, e)] = [[] for _ in shifts[e.upper]]
             restrictions[(e.lower, e)] = []
 
-    return BMPSheaf(base, graph, dict(shifts), sheaf, cap)
+    return BMPSheaf(base, sheaf)
 
 
 # -- cross-validation -------------------------------------------------------

@@ -89,6 +89,13 @@ def _parse_pairings(datum, text):
     return values
 
 
+def _parse_element(datum, text, option):
+    try:
+        return weyl_mod.parse_word(datum, text)
+    except ValueError as exc:
+        raise _CliError(f"{option}: {exc}") from None
+
+
 def _json_doc(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -198,7 +205,7 @@ def _cmd_bmp(config: RunConfig):
     datum = _load_datum(config)
     ideal = _ideal(datum, config)
     graph = build_moment_graph(datum, ideal, dual=config.dual)
-    base = weyl_mod.parse_word(datum, config.base or "e")
+    base = _parse_element(datum, config.base or "e", "--base")
     sheaf = bmp_mod.compute_bmp(graph, base, degree_cap=config.degree_cap_override)
     doc = {
         "base": _word(base),
@@ -224,7 +231,7 @@ def _cmd_verify_kl(config: RunConfig):
     graph = build_moment_graph(datum, ideal, dual=config.dual)
     table = KLTable(ideal)
     if config.base is not None:
-        bases = [weyl_mod.parse_word(datum, config.base)]
+        bases = [_parse_element(datum, config.base, "--base")]
     else:
         bases = list(graph.vertices)
     reports = []
@@ -251,8 +258,7 @@ def _cmd_characters(config: RunConfig):
     if config.pairings is None:
         raise _CliError("--pairings is required")
     pairings = _parse_pairings(datum, config.pairings)
-    element_text = config.element or "e"
-    w = weyl_mod.parse_word(datum, element_text)
+    w = _parse_element(datum, config.element or "e", "--element")
     ideal = weyl_mod.ideal_from_generators(datum, [w], config.size_limit)
     block = cat_mod.classify_weight(datum, pairings, ideal)
     table = KLTable(ideal)
@@ -398,6 +404,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             fields[name] = getattr(ns, name)
     if fields.get("depth", 0) < 0:
         raise _CliError("--depth must be nonnegative")
+    if fields.get("max_length", 0) < 0:
+        raise _CliError("--max-length must be nonnegative")
     if size_limit < 1:
         raise _CliError("--size-limit must be at least 1")
     cap = fields.get("degree_cap_override")

@@ -33,10 +33,6 @@ class IntervalNotContained(ToolkitError):
     code = "IntervalNotContained"
 
 
-class ZeroForm(ToolkitError):
-    code = "ZeroForm"
-
-
 class DegreeCapExceeded(ToolkitError):
     code = "DegreeCapExceeded"
 

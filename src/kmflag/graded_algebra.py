@@ -17,170 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._linalg import RowSpan, solve_right
-from .errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch, ZeroForm
-
-
-class SPoly:
-    """Multivariate polynomial with rational coefficients; terms is a map
-    from exponent tuples to nonzero Fractions."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for exp, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(exp)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: 1})
-
-    @classmethod
-    def linear(cls, coords) -> "SPoly":
-        n = len(coords)
-        return cls(
-            n,
-            {
-                tuple(1 if j == i else 0 for j in range(n)): c
-                for i, c in enumerate(coords)
-                if c
-            },
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        return SPoly(self.nvars, out)
-
-    def __neg__(self):
-        return SPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return SPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def poly_degree(self):
-        """Total degree in the generators, None for zero."""
-        return max((sum(e) for e in self.terms), default=None)
-
-    def s_degree(self):
-        """Graded degree (generators live in degree 2), None for zero."""
-        d = self.poly_degree()
-        return None if d is None else 2 * d
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "SPoly(0)"
-        bits = []
-        for exp, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
-            bits.append(f"{c}" + ("*" + mono if mono else ""))
-        return "SPoly(" + " + ".join(bits) + ")"
-
-
-def _linear_coords(alpha: SPoly):
-    coords = [Fraction(0)] * alpha.nvars
-    for exp, c in alpha.terms.items():
-        if sum(exp) != 1:
-            raise ZeroForm("expected a homogeneous linear form")
-        coords[exp.index(1)] = c
-    if not any(coords):
-        raise ZeroForm("zero linear form")
-    return tuple(coords)
-
-
-def reduce_mod_linear(p: SPoly, alpha: SPoly) -> SPoly:
-    """Canonical normal form of p in S/(alpha): eliminate the first
-    generator carried by alpha by substitution."""
-    coords = _linear_coords(alpha)
-    quot = linear_quotient(p.nvars, coords)
-    out: dict = {}
-    for exp, c in p.terms.items():
-        for tgt, f in quot.expand_monomial(exp):
-            v = out.get(tgt, 0) + c * f
-            if v:
-                out[tgt] = v
-            else:
-                out.pop(tgt, None)
-    return SPoly(p.nvars, out)
-
-
-def divide_by_linear(p: SPoly, alpha: SPoly):
-    """(q, r) with p = q*alpha + r and r free of alpha's leading generator."""
-    coords = _linear_coords(alpha)
-    j = next(i for i, c in enumerate(coords) if c)
-    cj = coords[j]
-    quot = SPoly.zero(p.nvars)
-    while True:
-        upper = {e: c for e, c in p.terms.items() if e[j] > 0}
-        if not upper:
-            return quot, p
-        a = SPoly(
-            p.nvars,
-            {
-                tuple(x - (1 if i == j else 0) for i, x in enumerate(e)): Fraction(c) / cj
-                for e, c in upper.items()
-            },
-        )
-        quot = quot + a
-        p = p - a * alpha
+from .errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch
 
 
 # -- monomial machinery ----------------------------------------------------
@@ -242,11 +79,13 @@ class LinearQuotient:
     """Normal-form arithmetic in S/(alpha) for a linear form alpha.
 
     The first generator with a nonzero coefficient is substituted away, so
-    normal forms are spanned by the monomials avoiding it.  Substitution,
-    reduction and multiplication coefficients are ints whenever they are
-    integral, as they are when that generator's coefficient is +-1.  The
-    zero form eliminates nothing (elim is None): S/(0) is the free piece S,
-    every monomial is a normal form and reduction is the identity.
+    normal forms are spanned by the monomials avoiding it.  Multiplication
+    by a variable (mul_var_map) is the one primitive; reduction maps are
+    built from it.  Substitution, reduction and multiplication coefficients
+    are ints whenever they are integral, as they are when that generator's
+    coefficient is +-1.  The zero form eliminates nothing (elim is None):
+    S/(0) is the free piece S, every monomial is a normal form and
+    reduction is the identity.
     """
 
     def __init__(self, ring: PolyRing, coords):
@@ -260,7 +99,6 @@ class LinearQuotient:
         }
         self._reduced: dict[int, tuple] = {}
         self._reduced_index: dict[int, dict] = {}
-        self._powers: dict[int, dict] = {0: {(0,) * ring.nvars: 1}}
         self._mulmaps: dict = {}
 
     def reduced_monomials(self, k: int) -> tuple:
@@ -284,47 +122,28 @@ class LinearQuotient:
         """Exponent of the eliminated generator; 0 when nothing is."""
         return 0 if self.elim is None else exp[self.elim]
 
-    def _power(self, e: int) -> dict:
-        """Expansion of x_elim^e as a normal-form polynomial."""
-        got = self._powers.get(e)
-        if got is None:
-            prev = self._power(e - 1)
-            out: dict = {}
-            for mono, c in prev.items():
-                for i, f in self.sub.items():
-                    tgt = tuple(x + (1 if t == i else 0) for t, x in enumerate(mono))
-                    v = out.get(tgt, 0) + c * f
-                    if v:
-                        out[tgt] = v
-                    else:
-                        out.pop(tgt, None)
-            out = {mono: _integral(c) for mono, c in out.items()}
-            self._powers[e] = out
-            got = out
-        return got
-
-    def expand_monomial(self, exp):
-        """Normal form of a monomial as ((monomial, coeff), ...)."""
-        e = self._elim_exp(exp)
-        if e == 0:
-            return ((exp, 1),)
-        rest = tuple(x if i != self.elim else 0 for i, x in enumerate(exp))
-        return tuple(
-            (tuple(a + b for a, b in zip(rest, mono)), c)
-            for mono, c in self._power(e).items()
-        )
-
     def reduce_map_indexed(self, k: int) -> tuple:
         """Reduction matrix in sparse index form: per source monomial index,
-        ((reduced index, coeff), ...)."""
+        ((reduced index, coeff), ...).
+
+        The image of a monomial m is x_i times the image of m / x_i, x_i
+        being m's first variable, so reduction is built from mul_var_map."""
         key = ("red", k)
         got = self._mulmaps.get(key)
         if got is None:
-            idx = self.reduced_index(k)
-            got = tuple(
-                tuple((idx[tgt], f) for tgt, f in self.expand_monomial(m))
-                for m in self.ring.monomials(k)
-            )
+            if k == 0:
+                got = (((0, 1),),)
+            else:
+                prev = self.reduce_map_indexed(k - 1)
+                rows = []
+                for var, j in self.ring.steps(k):
+                    mul = self.mul_var_map(k - 1, var)
+                    acc: dict = {}
+                    for src, c in prev[j]:
+                        for tgt, f in mul[src]:
+                            acc[tgt] = acc.get(tgt, 0) + c * f
+                    rows.append(tuple((t, _integral(v)) for t, v in acc.items() if v))
+                got = tuple(rows)
             self._mulmaps[key] = got
         return got
 

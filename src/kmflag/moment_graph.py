@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 from ._linalg import kernel_basis
 from .errors import DegreeCapExceeded
-from .graded_algebra import (
-    CyclicPiece,
-    ModuleAmbient,
-    SPoly,
-    monomial_multiples,
-    reduce_mod_linear,
-)
+from .graded_algebra import CyclicPiece, ModuleAmbient, monomial_multiples
 from .root_datum import RootDatum, RootVector
-from .weyl import BruhatIdeal, WeylElement, format_word
+from .weyl import BruhatIdeal, WeylElement
 
 
 @dataclass(frozen=True)
@@ -73,18 +67,6 @@ def build_moment_graph(
         edges = mapped
     edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
     return MomentGraph(datum, ideal, tuple(edges), dual, label_datum)
-
-
-def structure_algebra_check(graph: MomentGraph, tuples: dict) -> bool:
-    """Whether (z_x) satisfies z_x = z_{s_a x} mod a on every edge."""
-    missing = [v for v in graph.vertices if v not in tuples]
-    if missing:
-        raise ValueError(f"tuple missing vertices: {format_word(missing[0])} ...")
-    for e in graph.edges:
-        diff = tuples[e.lower] - tuples[e.upper]
-        if not reduce_mod_linear(diff, SPoly.linear(e.label)).is_zero():
-            return False
-    return True
 
 
 # -- sheaves on a moment graph ---------------------------------------------

@@ -201,9 +201,16 @@ def parse_word(datum: RootDatum, text: str) -> WeylElement:
         return identity(datum)
     word = []
     for part in text.split(","):
-        i = int(part) - 1
+        try:
+            i = int(part) - 1
+        except ValueError:
+            raise ValueError(
+                f"bad letter {part!r} in word {text!r}: expected indices 1..{datum.rank}"
+            ) from None
         if not 0 <= i < datum.rank:
-            raise ValueError(f"reflection index {part} out of range 1..{datum.rank}")
+            raise ValueError(
+                f"reflection index {part} in word {text!r} out of range 1..{datum.rank}"
+            )
         word.append(i)
     return from_word(datum, word)
 

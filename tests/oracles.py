@@ -4,10 +4,15 @@ The KL oracle follows the original construction: R-polynomials by their
 descent recursion, then P-polynomials extracted coefficientwise from
 q^(l(w)-l(x)) P(1/q) - P(q) = sum R_{x,y} P_{y,w}.  The Bruhat oracle is
 the reflexive-transitive closure of the covering relation.  Neither shares
-code with the package's recursions.  spoly_vector turns an SPoly tuple
-into the package's flat element format through divide_by_linear
-remainders, so the tests build modules and expected products and
-reductions without the package's normal-form expansion.  The BMP oracle
+code with the package's recursions.  The polynomial reference lives here
+too: SPoly, divide_by_linear by repeated subtraction of multiples of the
+linear form, reduce_mod_linear as its remainder, and the structure-algebra
+congruence test structure_algebra_check on top of them.  It shares no code
+with the package's LinearQuotient, whose reduction maps are built from
+multiplication by a variable.  spoly_vector turns an SPoly tuple into the
+package's flat element format through divide_by_linear remainders, so the
+tests build modules and expected products and reductions without the
+package's normal forms.  The BMP oracle
 recomputes sections from scratch at every vertex instead of carrying them
 incrementally; its restriction matrices multiply through
 ModuleAmbient.mul_var_vec as compute_bmp does, so that multiplication is
@@ -19,24 +24,184 @@ where the package eliminates fraction-free."""
 from fractions import Fraction
 from math import gcd, lcm
 
-from kmflag.graded_algebra import (
-    GradedModuleRep,
-    ModuleAmbient,
-    SPoly,
-    divide_by_linear,
-    minimal_generators,
-)
+from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
 from kmflag.kl import QPoly
 from kmflag.moment_graph import sections
 from kmflag.weyl import (
     WeylElement,
     bruhat_leq,
+    format_word,
     identity,
     inverse,
     multiply,
     reflection,
     simple_reflection,
 )
+
+
+class SPoly:
+    """Multivariate polynomial with rational coefficients; terms is a map
+    from exponent tuples to nonzero Fractions."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        clean = {}
+        for exp, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[tuple(exp)] = c
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls(nvars)
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, nvars, i):
+        exp = tuple(1 if j == i else 0 for j in range(nvars))
+        return cls(nvars, {exp: 1})
+
+    @classmethod
+    def linear(cls, coords) -> "SPoly":
+        n = len(coords)
+        return cls(
+            n,
+            {
+                tuple(1 if j == i else 0 for j in range(n)): c
+                for i, c in enumerate(coords)
+                if c
+            },
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SPoly)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            v = out.get(exp, 0) + c
+            if v:
+                out[exp] = v
+            else:
+                out.pop(exp, None)
+        return SPoly(self.nvars, out)
+
+    def __neg__(self):
+        return SPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return SPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                v = out.get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return SPoly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def poly_degree(self):
+        """Total degree in the generators, None for zero."""
+        return max((sum(e) for e in self.terms), default=None)
+
+    def s_degree(self):
+        """Graded degree (generators live in degree 2), None for zero."""
+        d = self.poly_degree()
+        return None if d is None else 2 * d
+
+    def is_homogeneous(self) -> bool:
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        if not self.terms:
+            return "SPoly(0)"
+        bits = []
+        for exp, c in self.sorted_terms():
+            mono = "*".join(
+                f"x{i+1}" + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(exp)
+                if e
+            )
+            bits.append(f"{c}" + ("*" + mono if mono else ""))
+        return "SPoly(" + " + ".join(bits) + ")"
+
+
+def _linear_coords(alpha: SPoly):
+    coords = [Fraction(0)] * alpha.nvars
+    for exp, c in alpha.terms.items():
+        if sum(exp) != 1:
+            raise ValueError("expected a homogeneous linear form")
+        coords[exp.index(1)] = c
+    if not any(coords):
+        raise ValueError("zero linear form")
+    return tuple(coords)
+
+
+def divide_by_linear(p: SPoly, alpha: SPoly):
+    """(q, r) with p = q*alpha + r and r free of alpha's leading generator."""
+    coords = _linear_coords(alpha)
+    j = next(i for i, c in enumerate(coords) if c)
+    cj = coords[j]
+    quot = SPoly.zero(p.nvars)
+    while True:
+        upper = {e: c for e, c in p.terms.items() if e[j] > 0}
+        if not upper:
+            return quot, p
+        a = SPoly(
+            p.nvars,
+            {
+                tuple(x - (1 if i == j else 0) for i, x in enumerate(e)): Fraction(c) / cj
+                for e, c in upper.items()
+            },
+        )
+        quot = quot + a
+        p = p - a * alpha
+
+
+def reduce_mod_linear(p: SPoly, alpha: SPoly) -> SPoly:
+    """Canonical normal form of p in S/(alpha): the divide_by_linear
+    remainder, free of alpha's first generator."""
+    return divide_by_linear(p, alpha)[1]
+
+
+def structure_algebra_check(graph, tuples: dict) -> bool:
+    """Whether (z_x) satisfies z_x = z_{s_a x} mod a on every edge."""
+    missing = [v for v in graph.vertices if v not in tuples]
+    if missing:
+        raise ValueError(f"tuple missing vertices: {format_word(missing[0])} ...")
+    for e in graph.edges:
+        diff = tuples[e.lower] - tuples[e.upper]
+        if not reduce_mod_linear(diff, SPoly.linear(e.label)).is_zero():
+            return False
+    return True
 
 
 class KLOracle:

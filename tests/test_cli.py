@@ -164,6 +164,32 @@ def test_negative_depth_rejected(a2_file, affine_file):
         assert json.loads(doc)["error_code"] == "UsageError"
 
 
+@pytest.mark.parametrize(
+    "args, option, letter",
+    [
+        (("bmp", "--max-length", "3", "--base", "1,x"), "--base", "'x'"),
+        (("verify-kl", "--max-length", "3", "--base", "3"), "--base", "3"),
+        (("characters", "--pairings", "-2,-2", "--element", "1,,2"), "--element", "''"),
+    ],
+    ids=["bmp-bad-letter", "verify-kl-out-of-range", "characters-empty-letter"],
+)
+def test_bad_word_names_option_and_letter(a2_file, args, option, letter):
+    status, doc = run_cli(args[0], "--cartan", a2_file, *args[1:])
+    payload = json.loads(doc)
+    assert status == 1
+    assert payload["error_code"] == "UsageError"
+    assert option in payload["message"]
+    assert letter in payload["message"]
+
+
+def test_negative_max_length_rejected(a2_file):
+    for command in ("weyl-ideal", "bmp"):
+        status, doc = run_cli(command, "--cartan", a2_file, "--max-length", "-1")
+        payload = json.loads(doc)
+        assert status == 1
+        assert payload["error_code"] == "UsageError"
+        assert "--max-length" in payload["message"]
+
 def test_strata_command(a2_file):
     status, doc = run_cli("strata", "--cartan", a2_file, "--max-length", "3")
     payload = json.loads(doc)

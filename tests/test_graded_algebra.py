@@ -2,25 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kmflag.errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch, ZeroForm
+from kmflag.errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch
 from kmflag.graded_algebra import (
     CyclicPiece,
     GradedModuleRep,
     ModuleAmbient,
-    SPoly,
     degree_basis,
-    divide_by_linear,
     linear_quotient,
     minimal_generators,
     monomial_multiples,
-    reduce_mod_linear,
 )
 from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import validate_cartan
-from kmflag.weyl import full_weyl_group
+from kmflag.weyl import enumerate_ideal, full_weyl_group
 
-from oracles import spoly_vector
+from conftest import GCM_PAIRS, rank3_datum
+from oracles import SPoly, divide_by_linear, reduce_mod_linear, spoly_vector
 
 
 def x(i, n=2):
@@ -40,11 +40,11 @@ def test_reduce_mod_linear_contract():
     assert reduce_mod_linear(alpha, alpha).is_zero()
     assert reduce_mod_linear(x(0) * x(0) + x(0) * x(1), x(0)).is_zero()
     assert reduce_mod_linear(x(0) * x(1), alpha) == x(1) * x(1)
-    with pytest.raises(ZeroForm):
+    with pytest.raises(ValueError):
         reduce_mod_linear(x(0), SPoly.zero(2))
-    with pytest.raises(ZeroForm):
+    with pytest.raises(ValueError):
         divide_by_linear(x(0), SPoly.zero(2))
-    with pytest.raises(ZeroForm):
+    with pytest.raises(ValueError):
         reduce_mod_linear(x(0), x(0) * x(1))
 
 
@@ -260,6 +260,26 @@ def test_unit_label_quotient_maps_are_int(cartan):
                     up = tuple(e + (t == var) for t, e in enumerate(m))
                     assert dict(row) == _normal_form_over_q(quot, up)
 
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+def test_reduce_maps_match_division_on_rank3_labels(pairs):
+    # every plain and dual edge label of a drawn rank-3 ideal; an entry of
+    # -2 or -3 gives labels such as 3a1 + a2, whose eliminated coefficient
+    # is not +-1, so the step-built maps carry Fractions
+    datum = rank3_datum(pairs)
+    ideal = enumerate_ideal(datum, 3)
+    labels = {
+        tuple(e.label)
+        for dual in (False, True)
+        for e in build_moment_graph(datum, ideal, dual=dual).edges
+    }
+    for label in sorted(labels):
+        quot = linear_quotient(3, label)
+        for k in range(5):
+            rmap = quot.reduce_map_indexed(k)
+            for row, m in zip(rmap, quot.ring.monomials(k)):
+                assert dict(row) == _normal_form_over_q(quot, m), (label, m)
 
 # unit label (1, -1), non-unit label (2, 3), a free piece, and shifts of
 # both parities, so every degree has dead pieces

@@ -4,13 +4,11 @@ from hypothesis import strategies as st
 
 from kmflag.bmp import compute_bmp
 from kmflag.errors import DegreeCapExceeded
-from kmflag.graded_algebra import SPoly
 from kmflag.moment_graph import (
     build_moment_graph,
     constant_sheaf,
     covering_relations,
     sections,
-    structure_algebra_check,
 )
 from kmflag.root_datum import validate_cartan
 from kmflag.weyl import (
@@ -23,7 +21,7 @@ from kmflag.weyl import (
     simple_reflection,
 )
 
-from oracles import reflection_pair_edges
+from oracles import SPoly, reflection_pair_edges, structure_algebra_check
 
 
 @pytest.fixture(scope="module")
