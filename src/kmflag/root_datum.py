@@ -262,6 +262,8 @@ class RootDatum:
         """Positive real roots of height <= max_height (finite or untwisted affine)."""
         if self.kind == FINITE:
             return [b for b in self.positive_roots() if height(b) <= max_height]
+        if self.kind != AFFINE:
+            raise UnsupportedKind("real roots need finite or untwisted affine kind")
         i0, sub, delta = self.untwisted_affine_data()
         rest = [j for j in range(self.rank) if j != i0]
 

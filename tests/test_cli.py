@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -299,3 +300,168 @@ def test_rank3_cli_runs_are_byte_identical(tmp_path_factory, pairs):
         first = run_cli(*args)
         assert first[0] == 0, first[1]
         assert run_cli(*args) == first, command
+
+
+GOLDEN_CARTANS = {"a2": [[2, -1], [-1, 2]], "affine_a1": [[2, -2], [-2, 2]]}
+
+#: stdout SHA-256 of every command on A2 (l <= 3) and affine A1 (l <= 4), in
+#: each format and with --dual / --verify where the command offers them
+GOLDEN = (
+    ("a2", "roots",
+     "f79fc035a21e5d5ba9e4f92393981b05ceaf02c8a28ded757d3d8f1f2e819e63"),
+    ("a2", "weyl-ideal --max-length 3",
+     "3dce2145709472a1dbf39d643f5ba253b9d6650fd4e5bccf350e2852c8bec492"),
+    ("a2", "weyl-ideal --max-length 3 --format csv",
+     "39796a33c5a9076265c2c47947d0260a2c15fec0051506ecb26ef8636226317c"),
+    ("a2", "kl --max-length 3",
+     "452c70815195fa4f90248d447491ce5bf8d2c3c75e38e2f1f1233a88d9e407d4"),
+    ("a2", "kl --max-length 3 --format csv",
+     "12440ba38ecf2ad5031a1419c6ad6eeb7db46a26a7a38e8bd4cfb7f06304587a"),
+    ("a2", "inverse-kl --max-length 3",
+     "452c70815195fa4f90248d447491ce5bf8d2c3c75e38e2f1f1233a88d9e407d4"),
+    ("a2", "inverse-kl --max-length 3 --format csv",
+     "12440ba38ecf2ad5031a1419c6ad6eeb7db46a26a7a38e8bd4cfb7f06304587a"),
+    ("a2", "multiplicities --max-length 3",
+     "685e918e91f07208d823a3ee4d7243309ae37722ca90d03771100ba3e17ef1b1"),
+    ("a2", "multiplicities --max-length 3 --format csv",
+     "8c8a8b50ccea6310c056fab1747ca264aff60a006d593e9a1b6dc512d7b07464"),
+    ("a2", "strata --max-length 3",
+     "f3248343d0f9e3a4d418f42627cfd2b765a9669c73a5aad3eab5623bc876d58b"),
+    ("a2", "strata --max-length 3 --format csv",
+     "79e692c31d69f71127a8bf37cc3c4f3fa96e754d4b438a96e0de4d31280d3a1b"),
+    ("a2", "moment-graph --max-length 3",
+     "f64a73c064a536b3fc41f0267e8ba8724e9975cef4e5993bd0f8b6c2b309cc89"),
+    ("a2", "verify-kl --max-length 3",
+     "e744712eb535df9dbfb1c64aac590de6610d1a2321a8ba92eedeabf580b97c86"),
+    ("a2", "moment-graph --max-length 3 --dual",
+     "f62945887e38fcb72e59be0c1b63cd46b8a98d2a9b76274f248b0a48b6fac068"),
+    ("a2", "verify-kl --max-length 3 --dual",
+     "e744712eb535df9dbfb1c64aac590de6610d1a2321a8ba92eedeabf580b97c86"),
+    ("a2", "bmp --max-length 3 --base 1",
+     "6cc1fc973897c27dd1441ee7225945d768d76fd8fae588f0a635c70f7d654b2d"),
+    ("a2", "bmp --max-length 3 --base 1 --dual",
+     "9194817ab08a7686f6c61d8dea450b2469641ed0f8f018fc7731ac770c9baa44"),
+    ("a2", "bmp --max-length 3 --base 1 --verify",
+     "fc43f1456da0634738821852da40f35c8c12157d346704b56c1cf2a13496750f"),
+    ("a2", "bmp --max-length 3 --base 1 --dual --verify",
+     "4975b36c31bd952e75189b45caa638bfb78a3d4e124c8f42fb8ce25d71ad4bdd"),
+    ("a2", "characters --pairings -2,-2 --element 1,2,1 --depth 6",
+     "f137d3471aeb39df33e2286cb0a94b68e8fac51dc73fbd289f2816db5f8a10b6"),
+    ("affine_a1", "roots --depth 4",
+     "4dddb6e49a5f059facd468ee501dfb0943356b7ac8f00921753beb47ae36620f"),
+    ("affine_a1", "weyl-ideal --max-length 4",
+     "8719ab1ef86ccde2ab39af2b00940300d490a80c93471b0db4e34a536fce13b8"),
+    ("affine_a1", "weyl-ideal --max-length 4 --format csv",
+     "45730d4bc6836676aea1eb81abfb051965035bec6e5f7fc273a28f72b3b6f223"),
+    ("affine_a1", "kl --max-length 4",
+     "abe5a57be70ce7eb5ac7f54ddb2df69a49b1a7e313de2329fa2a04d25428d339"),
+    ("affine_a1", "kl --max-length 4 --format csv",
+     "a481a0b9ef2537fbe85088b1308e6e51e496fbea9c16cea20914ed22a811a614"),
+    ("affine_a1", "inverse-kl --max-length 4",
+     "abe5a57be70ce7eb5ac7f54ddb2df69a49b1a7e313de2329fa2a04d25428d339"),
+    ("affine_a1", "inverse-kl --max-length 4 --format csv",
+     "a481a0b9ef2537fbe85088b1308e6e51e496fbea9c16cea20914ed22a811a614"),
+    ("affine_a1", "multiplicities --max-length 4",
+     "fa9b48d81667cf5277766d4a014d0cb994af73a00396700750ed81bfe0cda7bf"),
+    ("affine_a1", "multiplicities --max-length 4 --format csv",
+     "bbe29238e920151378577c57b90e83622baf9a4a4354f1c41aaffd1d3448ecb1"),
+    ("affine_a1", "strata --max-length 4",
+     "bc756f67ebd4d7a8ad26986db9055b419270ba997823ec9306a2fa85751c4bf2"),
+    ("affine_a1", "strata --max-length 4 --format csv",
+     "c5f34e8927f3af96698d47aa26e606f5ef06aa09a108b97997e62e94e94bad38"),
+    ("affine_a1", "moment-graph --max-length 4",
+     "c6825415971e0972757e225cf15017c233bacc3c08d0560369ba8fb1cfac675f"),
+    ("affine_a1", "verify-kl --max-length 4",
+     "a21c0ae907efb296abbff5b1bda06880fafd54537d3c565ff4991cd75e64594c"),
+    ("affine_a1", "moment-graph --max-length 4 --dual",
+     "358f7a6a6f64a393fe79a2a02354d404cb7bdc73bb51205ab77664b4dc8853ca"),
+    ("affine_a1", "verify-kl --max-length 4 --dual",
+     "a21c0ae907efb296abbff5b1bda06880fafd54537d3c565ff4991cd75e64594c"),
+    ("affine_a1", "bmp --max-length 4 --base 1",
+     "0c298b46e90c835c38fb1cdcefc6481d8094f663c373d7b9845d626f9c13520a"),
+    ("affine_a1", "bmp --max-length 4 --base 1 --dual",
+     "4001e5689ca1e2968cbce0009e118a71b3bf5cf953c2cf9863b7d7021bfe4dc5"),
+    ("affine_a1", "bmp --max-length 4 --base 1 --verify",
+     "cbe905e39f7e5fc1bc67480873817687a11a17c1f171360999f10e0103f102c5"),
+    ("affine_a1", "bmp --max-length 4 --base 1 --dual --verify",
+     "ed926563f88a0d449d49cb5b6b83ac58590d56c6b300f6981b3f7c41281b3458"),
+    ("affine_a1", "characters --pairings -2,-2 --element 1,2 --depth 4",
+     "f8639a26d4850e53f6dfd8e6e8ae5b88f5cbd3c9b3c294fbc34c8cdc55b77973"),
+)
+
+
+@pytest.mark.parametrize(
+    "cartan, args, sha", GOLDEN, ids=[f"{c} {a}" for c, a, _ in GOLDEN]
+)
+def test_golden_output(tmp_path, monkeypatch, cartan, args, sha):
+    monkeypatch.delenv("KMFLAG_SIZE_LIMIT", raising=False)
+    path = tmp_path / f"{cartan}.json"
+    path.write_text(json.dumps({"cartan": GOLDEN_CARTANS[cartan]}))
+    command, *rest = args.split()
+    status, doc = run_cli(command, "--cartan", str(path), *rest)
+    assert status == 0, doc
+    assert hashlib.sha256(doc.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kl", "--max-length", "2", "--dual"),
+        ("strata", "--max-length", "2", "--verify"),
+        ("roots", "--max-length", "2"),
+        ("characters", "--pairings", "-2,-2", "--format", "csv"),
+        ("moment-graph", "--max-length", "2", "--base", "e"),
+        ("verify-kl", "--max-length", "2", "--verify"),
+    ],
+    ids=["kl-dual", "strata-verify", "roots-max-length", "characters-format",
+         "moment-graph-base", "verify-kl-verify"],
+)
+def test_other_commands_option_rejected(a2_file, args):
+    status, doc = run_cli(args[0], "--cartan", a2_file, *args[1:])
+    payload = json.loads(doc)
+    assert status == 1
+    assert payload["error_code"] == "UsageError"
+    assert "unrecognized arguments" in payload["message"]
+
+
+def test_ideal_max_length_alias_removed(a2_file):
+    status, doc = run_cli("weyl-ideal", "--cartan", a2_file, "--ideal-max-length", "2")
+    payload = json.loads(doc)
+    assert status == 1
+    assert payload == {
+        "error_code": "UsageError",
+        "message": "the following arguments are required: --max-length",
+    }
+
+
+def test_roots_indefinite_names_supported_kinds(tmp_path):
+    path = tmp_path / "hyperbolic3.json"
+    path.write_text(json.dumps({"cartan": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]}))
+    status, doc = run_cli("roots", "--cartan", str(path))
+    payload = json.loads(doc)
+    assert status == 1
+    assert payload["error_code"] == "UnsupportedKind"
+    assert "finite or untwisted affine kind" in payload["message"]
+
+
+def test_characters_depth_over_size_limit(a2_file, tmp_path, monkeypatch):
+    # depth 10 on a rank-2 datum is a table of C(12, 2) = 66 lattice points
+    args = ("characters", "--cartan", a2_file, "--pairings", "-2,-2", "--depth", "10")
+    status, doc = run_cli(*args, "--size-limit", "50")
+    payload = json.loads(doc)
+    assert status == 3
+    assert payload["error_code"] == "SizeLimitExceeded"
+    assert "66" in payload["message"] and "50" in payload["message"]
+    monkeypatch.setenv("KMFLAG_SIZE_LIMIT", "65")
+    assert run_cli(*args)[0] == 3
+    monkeypatch.setenv("KMFLAG_SIZE_LIMIT", "66")
+    assert run_cli(*args)[0] == 0
+    # indefinite data has no table to bound: it still names its kind
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({"cartan": [[2, -3], [-3, 2]]}))
+    status, doc = run_cli(
+        "characters", "--cartan", str(path), "--pairings", "-2,-2",
+        "--element", "1,2", "--depth", "10", "--size-limit", "5",
+    )
+    assert status == 1
+    assert json.loads(doc)["error_code"] == "UnsupportedKind"
