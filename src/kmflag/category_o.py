@@ -106,21 +106,16 @@ def classify_weight(
 def _kostant_table(datum: RootDatum, depth: int) -> dict:
     """Partition counts of every nonnegative root-lattice vector of height
     at most depth, with affine imaginary multiplicities."""
-    weighted_roots = []
-    if datum.kind == FINITE:
-        weighted_roots = [
-            (r, 1) for r in datum.positive_roots() if height(r) <= depth
-        ]
-    elif datum.kind == AFFINE:
+    if datum.kind not in (FINITE, AFFINE):
+        raise UnsupportedKind("partition counts need finite or untwisted affine kind")
+    weighted_roots = [(r, 1) for r in datum.real_positive_roots(depth)]
+    if datum.kind == AFFINE:
         mult = datum.imaginary_root_multiplicity()
-        weighted_roots = [(r, 1) for r in datum.real_positive_roots(depth)]
         delta = datum.delta()
         k = 1
         while height(delta) * k <= depth:
             weighted_roots.append((tuple(k * c for c in delta), mult))
             k += 1
-    else:
-        raise UnsupportedKind("partition counts need finite or untwisted affine kind")
     n = datum.rank
     points = sorted(_lattice_points(n, depth), key=lambda b: (height(b), b))
     counts = {b: 0 for b in points}

@@ -324,10 +324,10 @@ _COMMANDS = {
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="kmflag", description=__doc__)
+    parser = _Parser(prog="kmflag", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, options) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag in ("--cartan", "--size-limit", *options):
             p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(handler=handler)

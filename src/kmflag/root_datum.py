@@ -2,9 +2,11 @@
 
 A root datum is a validated generalized Cartan matrix together with its
 minimal positive integer symmetrizer, its definiteness class (finite /
-affine / indefinite) and, in the affine case, the dual Kac labels.  Roots
-live in simple-root coordinates as integer tuples, and the symmetric
-bilinear form is normalized so that (alpha_i, alpha_i) = 2 d_i.
+affine / indefinite; affine data are connected, so a decomposable matrix
+with a component that is not finite is indefinite) and, in the affine
+case, the dual Kac labels.  Roots live in simple-root coordinates as
+integer tuples, and the symmetric bilinear form is normalized so that
+(alpha_i, alpha_i) = 2 d_i.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
-from ._linalg import kernel_basis, primitive
+from ._linalg import kernel_basis
 from .errors import HeightBoundExceeded, NotGCM, NotSymmetrizable, UnsupportedKind
 
 RootVector = tuple[int, ...]
@@ -61,79 +64,57 @@ def _check_gcm(entries) -> tuple[tuple[int, ...], ...]:
     return a
 
 
-def _symmetrizer(a) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i a_ij = d_j a_ji.
+def _symmetrizer(a) -> tuple[tuple[int, ...], int]:
+    """Minimal positive integers d with d_i a_ij = d_j a_ji, and the number
+    of Dynkin components.
 
-    Ratios are propagated along a spanning forest of the Dynkin graph;
-    any non-tree edge whose ratio disagrees makes the matrix
-    non-symmetrizable.  Each connected component is scaled independently
-    to the least positive integer solution.
+    The kernel of these equations has one primitive vector per Dynkin
+    component on which they are consistent, supported on that component
+    and positive there; a component with no kernel vector makes the matrix
+    non-symmetrizable.
     """
     n = len(a)
-    ratio: list[Fraction | None] = [None] * n
-    component = [-1] * n
-    for start in range(n):
-        if component[start] >= 0:
-            continue
-        ratio[start] = Fraction(1)
-        component[start] = start
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if a[i][j] == 0 or i == j:
-                    continue
-                # d_j = d_i * a_ij / a_ji
-                r = ratio[i] * Fraction(a[i][j], a[j][i])
-                if component[j] == -1:
-                    component[j] = start
-                    ratio[j] = r
-                    stack.append(j)
-                elif ratio[j] != r:
-                    raise NotSymmetrizable("inconsistent symmetrizer ratios on a cycle")
-    d = [0] * n
-    for start in set(component):
-        idx = [i for i in range(n) if component[i] == start]
-        for i, v in zip(idx, primitive([ratio[i] for i in idx])):
-            d[i] = v
-    return tuple(d)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j]:
+                row = [0] * n
+                row[i], row[j] = a[i][j], -a[j][i]
+                rows.append(row)
+    kernel = kernel_basis(rows, n)
+    d = tuple(sum(v[i] for v in kernel) for i in range(n))
+    if not all(d):
+        raise NotSymmetrizable("inconsistent symmetrizer ratios on a cycle")
+    return d, len(kernel)
 
 
-def _charpoly_esyms(b) -> list[Fraction]:
-    """Elementary symmetric functions e_1..e_n of the eigenvalues of the
-    symmetric integer matrix b (sums of principal minors), exactly.
-
-    Faddeev-LeVerrier: B_1 = B, c_k = tr(B_k)/k, B_{k+1} = B(B_k - c_k I);
-    then e_k = (-1)^(k+1) c_k.
-    """
-    n = len(b)
-    bmat = [[Fraction(x) for x in row] for row in b]
-    bk = [row[:] for row in bmat]
-    es = []
-    for k in range(1, n + 1):
-        ck = sum(bk[i][i] for i in range(n)) / k
-        es.append(Fraction((-1) ** (k + 1)) * ck)
-        if k < n:
-            for i in range(n):
-                bk[i][i] -= ck
-            bk = [
-                [sum(bmat[i][t] * bk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return es
+def _leading_minors(b) -> list[int]:
+    """Leading principal minors of the integer matrix b, by fraction-free
+    (Bareiss) elimination, up to the first one that is not positive: a zero
+    pivot cannot be divided by, and no kind reads the minors after it."""
+    m = [list(row) for row in b]
+    n = len(m)
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if pivot <= 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return minors
 
 
-def _left_null_vector(a) -> tuple[int, ...]:
-    """Primitive integer solution of x·A = 0, assuming a 1-dimensional kernel."""
-    n = len(a)
-    # x.A = 0 is A^T x = 0, whose rows are the columns of A
-    kernel = kernel_basis([[a[i][j] for i in range(n)] for j in range(n)], n)
+def _null_vector(rows) -> tuple[int, ...]:
+    """Primitive integer solution of R x = 0, assuming a 1-dimensional
+    kernel with a positive vector."""
+    kernel = kernel_basis(rows, len(rows))
     if len(kernel) != 1:
         raise NotGCM("expected a one-dimensional null space")
-    ints = kernel[0]
-    if sum(ints) < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return tuple(kernel[0])
 
 
 @dataclass(frozen=True)
@@ -204,92 +185,68 @@ class RootDatum:
 
     # -- finite / affine auxiliaries -------------------------------------
 
-    def positive_roots(self) -> list[RootVector]:
-        """All positive roots, by orbit closure (finite kind only)."""
-        if self.kind != FINITE:
-            raise UnsupportedKind("positive root enumeration needs finite kind")
-        seen = {self.simple_root(i) for i in range(self.rank)}
+    def _real_closure(self, max_height=inf) -> list[RootVector]:
+        """Positive real roots of height <= max_height, by orbit closure from
+        the simple roots.  A real positive root of height > 1 has a simple
+        reflection lowering it to a real positive root, so the bound cuts no
+        root below it off."""
+        seen = {self.simple_root(i) for i in range(self.rank) if max_height >= 1}
         frontier = list(seen)
         while frontier:
             nxt = []
             for beta in frontier:
                 for i in range(self.rank):
                     gamma = self.reflect_simple(i, beta)
-                    if is_positive_vector(gamma) and gamma not in seen:
+                    if (
+                        is_positive_vector(gamma)
+                        and gamma not in seen
+                        and height(gamma) <= max_height
+                    ):
                         seen.add(gamma)
                         nxt.append(gamma)
             frontier = nxt
         return sorted(seen, key=lambda b: (height(b), b))
 
+    def positive_roots(self) -> list[RootVector]:
+        """All positive roots (finite kind only)."""
+        if self.kind != FINITE:
+            raise UnsupportedKind("positive root enumeration needs finite kind")
+        return self._real_closure()
+
     def delta(self) -> RootVector:
         """The primitive positive imaginary root of an affine datum."""
         if self.kind != AFFINE:
             raise UnsupportedKind("delta exists only in affine kind")
-        a_t = tuple(
-            tuple(self.cartan[j][i] for j in range(self.rank)) for i in range(self.rank)
-        )
-        return _left_null_vector(a_t)
+        return _null_vector(self.cartan)
 
-    def _affine_node(self) -> int:
-        for i in range(self.rank):
-            sub = [
-                [self.cartan[r][c] for c in range(self.rank) if c != i]
-                for r in range(self.rank)
-                if r != i
-            ]
-            if sub and validate_cartan(sub).kind == FINITE:
-                return i
-        raise UnsupportedKind("no node whose removal leaves a finite datum")
-
-    def untwisted_affine_data(self):
-        """(affine node, finite subdatum, delta) for an untwisted affine datum."""
+    def _check_untwisted(self) -> None:
+        """Raise unless the datum is untwisted affine: some node i with
+        delta_i = 1 leaves a finite datum whose highest root is delta - alpha_i.
+        The test reads no node numbering."""
         if self.kind != AFFINE:
             raise UnsupportedKind("not an affine datum")
-        i0 = self._affine_node()
         delta = self.delta()
-        if delta[i0] != 1:
-            raise UnsupportedKind("twisted affine datum")
-        rest = [j for j in range(self.rank) if j != i0]
-        sub = validate_cartan([[self.cartan[r][c] for c in rest] for r in rest])
-        theta = tuple(delta[j] for j in rest)
-        finite_roots = sub.positive_roots()
-        top = max(finite_roots, key=height)
-        if theta != top:
-            raise UnsupportedKind("twisted affine datum")
-        return i0, sub, delta
+        for i in range(self.rank):
+            if delta[i] != 1:
+                continue
+            rest = [j for j in range(self.rank) if j != i]
+            sub = validate_cartan([[self.cartan[r][c] for c in rest] for r in rest])
+            # an affine datum's proper principal submatrices are finite
+            if sub.positive_roots()[-1] == tuple(delta[j] for j in rest):
+                return
+        raise UnsupportedKind("twisted affine datum")
 
     def real_positive_roots(self, max_height: int) -> list[RootVector]:
         """Positive real roots of height <= max_height (finite or untwisted affine)."""
-        if self.kind == FINITE:
-            return [b for b in self.positive_roots() if height(b) <= max_height]
-        if self.kind != AFFINE:
+        if self.kind == AFFINE:
+            self._check_untwisted()
+        elif self.kind != FINITE:
             raise UnsupportedKind("real roots need finite or untwisted affine kind")
-        i0, sub, delta = self.untwisted_affine_data()
-        rest = [j for j in range(self.rank) if j != i0]
-
-        def embed(gamma, k):
-            out = [k * c for c in delta]
-            for pos, j in enumerate(rest):
-                out[j] += gamma[pos]
-            return tuple(out)
-
-        roots = []
-        finite_pos = sub.positive_roots()
-        for gamma in finite_pos:
-            k = 0
-            while height(embed(gamma, k)) <= max_height:
-                roots.append(embed(gamma, k))
-                k += 1
-            neg = tuple(-c for c in gamma)
-            k = 1
-            while height(embed(neg, k)) <= max_height:
-                roots.append(embed(neg, k))
-                k += 1
-        return sorted(roots, key=lambda b: (height(b), b))
+        return self._real_closure(max_height)
 
     def imaginary_root_multiplicity(self) -> int:
         """Multiplicity of k*delta in an untwisted affine algebra."""
-        self.untwisted_affine_data()
+        self._check_untwisted()
         return self.rank - 1
 
     def langlands_dual(self) -> RootDatum:
@@ -315,17 +272,19 @@ class RootDatum:
 @lru_cache(maxsize=64)
 def _validate_cached(entries) -> RootDatum:
     a = _check_gcm(entries)
-    d = _symmetrizer(a)
+    d, components = _symmetrizer(a)
     n = len(a)
-    b = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
-    es = _charpoly_esyms(b)
-    if all(e > 0 for e in es):
+    # B = DA is symmetric: positive definite (Sylvester) exactly for finite
+    # kind, and positive semidefinite of corank 1 with its first n - 1
+    # leading minors positive for an indecomposable affine matrix
+    minors = _leading_minors([[d[i] * a[i][j] for j in range(n)] for i in range(n)])
+    if len(minors) == n and all(m > 0 for m in minors):
         kind = FINITE
-    elif all(e >= 0 for e in es) and es[-1] == 0 and (n == 1 or es[-2] > 0):
+    elif len(minors) == n and minors[-1] == 0 and components == 1:
         kind = AFFINE
     else:
         kind = INDEFINITE
-    dual_labels = _left_null_vector(a) if kind == AFFINE else None
+    dual_labels = _null_vector(list(zip(*a))) if kind == AFFINE else None
     return RootDatum(cartan=a, symmetrizer=d, kind=kind, dual_labels=dual_labels)
 
 

@@ -183,9 +183,11 @@ def inverse(u: WeylElement) -> WeylElement:
 
 
 def from_word(datum: RootDatum, word) -> WeylElement:
+    """s_{i_1} ... s_{i_k} for the sequence word = (i_1, ..., i_k), built by
+    left steps from the right end."""
     w = identity(datum)
-    for i in word:
-        w = multiply(w, simple_reflection(datum, i))
+    for i in reversed(word):
+        w = _left_step(w, i)
     return w
 
 

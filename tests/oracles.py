@@ -19,7 +19,10 @@ ModuleAmbient.mul_var_vec as compute_bmp does, so that multiplication is
 checked on its own against spoly_vector of SPoly products
 (test_graded_algebra's test_monomial_multiples_match_spoly_products).  The
 linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
-where the package eliminates fraction-free."""
+where the package eliminates fraction-free.  The root-datum oracles find
+the symmetrizer by propagating ratios along a spanning forest of the Dynkin
+graph and the kind from the characteristic polynomial (Faddeev-LeVerrier),
+where the package takes a kernel and leading minors."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -554,3 +557,87 @@ def ideal_oracle(datum, max_length):
                     nxt.append(ws)
         frontier = nxt
     return found
+
+
+def symmetrizer_oracle(a):
+    """(d, components): the minimal positive integers d with
+    d_i a_ij = d_j a_ji and the number of Dynkin components, or None when
+    the GCM a is not symmetrizable.
+
+    Ratios are propagated along a spanning forest of the Dynkin graph; any
+    non-tree edge whose ratio disagrees makes the matrix non-symmetrizable.
+    Each connected component is scaled independently to the least positive
+    integer solution.
+    """
+    n = len(a)
+    ratio = [None] * n
+    component = [-1] * n
+    for start in range(n):
+        if component[start] >= 0:
+            continue
+        ratio[start] = Fraction(1)
+        component[start] = start
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if a[i][j] == 0 or i == j:
+                    continue
+                # d_j = d_i * a_ij / a_ji
+                r = ratio[i] * Fraction(a[i][j], a[j][i])
+                if component[j] == -1:
+                    component[j] = start
+                    ratio[j] = r
+                    stack.append(j)
+                elif ratio[j] != r:
+                    return None
+    d = [0] * n
+    for start in set(component):
+        idx = [i for i in range(n) if component[i] == start]
+        for i, v in zip(idx, primitive_over_q([ratio[i] for i in idx])):
+            d[i] = v
+    return tuple(d), len(set(component))
+
+
+def charpoly_esyms(b):
+    """Elementary symmetric functions e_1..e_n of the eigenvalues of the
+    integer matrix b (sums of principal minors), exactly.
+
+    Faddeev-LeVerrier: B_1 = B, c_k = tr(B_k)/k, B_{k+1} = B(B_k - c_k I);
+    then e_k = (-1)^(k+1) c_k.
+    """
+    n = len(b)
+    bmat = [[Fraction(x) for x in row] for row in b]
+    bk = [row[:] for row in bmat]
+    es = []
+    for k in range(1, n + 1):
+        ck = sum(bk[i][i] for i in range(n)) / k
+        es.append(Fraction((-1) ** (k + 1)) * ck)
+        if k < n:
+            for i in range(n):
+                bk[i][i] -= ck
+            bk = [
+                [sum(bmat[i][t] * bk[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+    return es
+
+
+def kind_oracle(a):
+    """The kind of a symmetrizable GCM from the eigenvalues of B = DA, which
+    are real since B is symmetric: finite when all are positive, affine when
+    one is zero, the others are positive and the Dynkin diagram is
+    connected, indefinite otherwise."""
+    d, components = symmetrizer_oracle(a)
+    n = len(a)
+    es = charpoly_esyms([[d[i] * a[i][j] for j in range(n)] for i in range(n)])
+    if all(e > 0 for e in es):
+        return "finite"
+    if (
+        all(e >= 0 for e in es)
+        and es[-1] == 0
+        and (n == 1 or es[-2] > 0)
+        and components == 1
+    ):
+        return "affine"
+    return "indefinite"

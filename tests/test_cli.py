@@ -424,6 +424,22 @@ def test_other_commands_option_rejected(a2_file, args):
     assert "unrecognized arguments" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bmp", "--car", "{a2}", "--max-length", "2"),
+        ("bmp", "--cartan", "{a2}", "--max", "2", "--ver", "--deg", "6"),
+        ("roots", "--cartan", "{a2}", "--dep", "3"),
+        ("characters", "--cartan", "{a2}", "--pair=-2,-2"),
+    ],
+    ids=["car", "max-ver-deg", "dep", "pair"],
+)
+def test_option_prefixes_rejected(a2_file, args):
+    status, doc = run_cli(*(arg.format(a2=a2_file) for arg in args))
+    assert status == 1
+    assert json.loads(doc)["error_code"] == "UsageError"
+
+
 def test_ideal_max_length_alias_removed(a2_file):
     status, doc = run_cli("weyl-ideal", "--cartan", a2_file, "--ideal-max-length", "2")
     payload = json.loads(doc)
@@ -465,3 +481,35 @@ def test_characters_depth_over_size_limit(a2_file, tmp_path, monkeypatch):
     )
     assert status == 1
     assert json.loads(doc)["error_code"] == "UnsupportedKind"
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, 0, 0], [0, 2, -2], [0, -2, 2]], [[2, 0, 0], [0, 2, -1], [0, -4, 2]]],
+    ids=["A1+A1^(1)", "A1+A2^(2)"],
+)
+def test_decomposable_affine_component_unsupported(tmp_path, cartan):
+    path = tmp_path / "decomposable.json"
+    path.write_text(json.dumps({"cartan": cartan}))
+    for args, message in (
+        (("roots",), "real roots need finite or untwisted affine kind"),
+        (
+            ("characters", "--pairings", "-2,-2,-2", "--element", "1", "--depth", "4"),
+            "partition counts need finite or untwisted affine kind",
+        ),
+    ):
+        status, doc = run_cli(args[0], "--cartan", str(path), *args[1:])
+        assert status == 1, doc
+        assert json.loads(doc) == {"error_code": "UnsupportedKind", "message": message}
+
+
+def test_roots_relabelled_untwisted_g2(tmp_path):
+    # G2^(1) with alpha_0 numbered last: delta = 3 alpha_1 + 2 alpha_2 + alpha_0
+    path = tmp_path / "g2_affine.json"
+    path.write_text(json.dumps({"cartan": [[2, -3, 0], [-1, 2, -1], [0, -1, 2]]}))
+    status, doc = run_cli("roots", "--cartan", str(path), "--depth", "4")
+    payload = json.loads(doc)
+    assert status == 0, doc
+    assert payload["kind"] == "affine"
+    assert payload["delta"] == [3, 2, 1]
+    assert payload["imaginary_multiplicity"] == 2

@@ -1,11 +1,33 @@
+from itertools import permutations, product
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kmflag.errors import HeightBoundExceeded, NotGCM, NotSymmetrizable, UnsupportedKind
 from kmflag.root_datum import height, validate_cartan
 
 from conftest import GCM_PAIRS, rank3_datum
+from oracles import kernel_over_q, kind_oracle, symmetrizer_oracle
+
+# affine types in Kac's numbering (alpha_0 first)
+UNTWISTED_AFFINE = {
+    "C2^(1)": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "G2^(1)": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    "B3^(1)": [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]],
+    "C3^(1)": [[2, -1, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    "A3^(1)": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+}
+TWISTED_AFFINE = {
+    "A4^(2)": [[2, -2, 0], [-1, 2, -2], [0, -1, 2]],
+    "D3^(2)": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],
+    "D4^(3)": [[2, -1, 0], [-1, 2, -3], [0, -1, 2]],
+}
+
+
+def relabelled(cartan, perm):
+    """The matrix whose node r is node perm[r] of cartan."""
+    return [[cartan[r][c] for c in perm] for r in perm]
 
 
 def test_rank_one_is_finite():
@@ -144,6 +166,91 @@ def test_twisted_affine_rejected_for_roots():
     assert twisted.kind == "affine"
     with pytest.raises(UnsupportedKind):
         twisted.real_positive_roots(5)
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, 0, 0], [0, 2, -2], [0, -2, 2]], [[2, 0, 0], [0, 2, -1], [0, -4, 2]]],
+    ids=["A1+A1^(1)", "A1+A2^(2)"],
+)
+def test_decomposable_with_affine_component_is_indefinite(cartan):
+    # "affine" names indecomposable matrices (Kac, Thm 4.3): A1 plus an
+    # affine component has no delta and no untwisted real-root list
+    datum = validate_cartan(cartan)
+    assert datum.kind == "indefinite"
+    assert datum.dual_labels is None
+    with pytest.raises(UnsupportedKind, match="finite or untwisted affine"):
+        datum.real_positive_roots(4)
+    with pytest.raises(UnsupportedKind, match="not an affine datum"):
+        datum.imaginary_root_multiplicity()
+
+
+@pytest.mark.parametrize("name", sorted(UNTWISTED_AFFINE))
+def test_untwisted_affine_in_every_node_order(name):
+    kac = validate_cartan(UNTWISTED_AFFINE[name])
+    n = kac.rank
+    kac_roots = kac.real_positive_roots(6)
+    for perm in permutations(range(n)):
+        datum = validate_cartan(relabelled(kac.cartan, perm))
+        assert datum.imaginary_root_multiplicity() == n - 1
+        expected = sorted(
+            (tuple(beta[p] for p in perm) for beta in kac_roots),
+            key=lambda b: (height(b), b),
+        )
+        assert datum.real_positive_roots(6) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_AFFINE))
+def test_twisted_affine_in_every_node_order(name):
+    cartan = TWISTED_AFFINE[name]
+    for perm in permutations(range(len(cartan))):
+        datum = validate_cartan(relabelled(cartan, perm))
+        assert datum.kind == "affine"
+        with pytest.raises(UnsupportedKind, match="twisted affine datum"):
+            datum.real_positive_roots(6)
+        with pytest.raises(UnsupportedKind, match="twisted affine datum"):
+            datum.imaginary_root_multiplicity()
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+@example(((0, 0), (0, 0), (-2, -2)))
+@example(((-3, -1), (0, 0), (-1, -1)))
+def test_rank3_root_datum_matches_oracles(pairs):
+    (a01, a10), (a02, a20), (a12, a21) = pairs
+    cartan = [[2, a01, a02], [a10, 2, a12], [a20, a21, 2]]
+    reference = symmetrizer_oracle(cartan)
+    if reference is None:
+        with pytest.raises(NotSymmetrizable):
+            validate_cartan(cartan)
+        return
+    datum = rank3_datum(pairs)
+    assert datum.symmetrizer == reference[0]
+    assert datum.kind == kind_oracle(cartan)
+    if datum.kind == "affine":
+        (labels,) = kernel_over_q([list(col) for col in zip(*cartan)], 3)
+        assert datum.dual_labels == tuple(labels)
+    else:
+        assert datum.dual_labels is None
+
+
+@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
+@example(((-1, -1), (-1, -1), (-1, -1)))
+@example(((-3, -1), (0, 0), (-1, -1)))
+def test_rank3_real_roots_are_the_real_lattice_vectors(pairs):
+    datum = rank3_datum(pairs)
+    assume(datum.kind != "indefinite")
+    if datum.kind == "affine":
+        try:
+            datum.imaginary_root_multiplicity()
+        except UnsupportedKind:
+            assume(False)  # twisted
+    vectors = sorted(
+        (v for v in product(range(7), repeat=3) if 0 < height(v) <= 6),
+        key=lambda b: (height(b), b),
+    )
+    real = [v for v in vectors if datum.is_real_root(v)]
+    for h in range(7):
+        assert datum.real_positive_roots(h) == [v for v in real if height(v) <= h]
 
 
 def test_langlands_dual_roundtrip(b2):

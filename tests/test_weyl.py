@@ -46,6 +46,19 @@ def test_braid_relation(a2):
     assert from_word(a2, [0, 1, 0]) == from_word(a2, [1, 0, 1])
 
 
+@given(
+    st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS),
+    st.lists(st.integers(0, 2), max_size=8),
+)
+def test_from_word_matches_matrix_products(pairs, word):
+    datum = rank3_datum(pairs)
+    product = identity(datum)
+    for i in word:
+        product = multiply(product, simple_reflection(datum, i))
+    w = from_word(datum, word)
+    assert (w.matrix, w.inv_matrix) == (product.matrix, product.inv_matrix)
+
+
 def test_apply_reflection_formula(a2):
     s1 = simple_reflection(a2, 0)
     assert s1.apply((0, 1)) == (1, 1)
