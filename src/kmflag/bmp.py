@@ -24,10 +24,12 @@ sheaf is flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks
 that claim: it recomputes the sections over {y < w} from scratch with
 moment_graph.sections and covers their image at every support vertex.
 
-Stalks and edge modules are the sheaf's own ModuleAmbients, filled in as
-the sweep goes; ModuleAmbient.reduce_free pushes a stalk component into an
-edge module, and the boundary module at w is the sum of its lower edges'.
-A new generator's restrictions are the slices of its boundary row.
+The stalks are the sheaf's own ModuleAmbients, filled in as the sweep
+goes, and an edge's module is its lower stalk modulo the label.
+ModuleAmbient.reduce_free pushes a stalk component into an edge module, and
+the boundary module at w is the sum over every edge into w; an edge from
+off the support has a zero lower stalk and adds nothing.  A new generator's
+restrictions are the slices of its boundary row.
 
 The sweep stops at an even degree cap, by default L + 4 rounded up to
 even, where L = max length - l(base).  A stalk generator of degree d stands
@@ -54,24 +56,15 @@ from .weyl import WeylElement, bruhat_leq, format_word  # noqa: F401
 
 
 @dataclass
-class BMPSheaf:
-    base: WeylElement
-    #: stalk and edge shifts, and restrictions as flattened generator
-    #: images in the edge modules; consumable by sections()
-    sheaf: GraphSheaf
+class BMPSheaf(GraphSheaf):
+    """The canonical sheaf from base; its stalks are empty off the support."""
 
-    @property
-    def graph(self) -> MomentGraph:
-        return self.sheaf.graph
+    base: WeylElement
 
     @property
     def stalks(self) -> dict:
         """Vertex -> tuple of generator degrees (ascending); empty off support."""
-        return self.sheaf.vertex_shifts
-
-    @property
-    def degree_cap(self) -> int:
-        return self.sheaf.degree_cap
+        return self.vertex_shifts
 
 
 def default_degree_cap(graph: MomentGraph, base: WeylElement) -> int:
@@ -127,27 +120,24 @@ def compute_bmp(
     if cap < 0 or cap % 2:
         raise ValueError("degree cap must be even and nonnegative")
     support = _support_in_order(graph, base, order)
-    nvars = graph.label_datum.rank
     degrees = range(0, cap + 1, 2)
 
-    shifts = {v: () for v in graph.vertices}
-    edge_shifts: dict = {}
-    restrictions: dict = {}
-    sheaf = GraphSheaf(graph, nvars, shifts, edge_shifts, restrictions, cap)
+    sheaf = BMPSheaf(graph, {v: () for v in graph.vertices}, {}, cap, base)
+    shifts, restrictions = sheaf.vertex_shifts, sheaf.restrictions
     # S-module generators of the sections over the processed prefix: a
     # degree and {vertex: stalk vector}; a missing vertex means zero.  A
     # vector is dropped once the upper ends of all its vertex's edges are
     # processed, and a generator once all its vectors are.
     gens = [(0, {base: [1]})]
-    processed = {base}
     pending = Counter(e.lower for e in graph.edges)
     shifts[base] = (0,)
 
     for w in support[1:]:
-        d_edges = [e for e in graph.edges if e.upper == w and e.lower in processed]
-        edge_shifts.update((e, shifts[e.lower]) for e in d_edges)
+        d_edges = [e for e in graph.edges if e.upper == w]
         edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
-        boundary = ModuleAmbient(nvars, [p for amb in edge_ambs for p in amb.pieces])
+        boundary = ModuleAmbient(
+            graph.datum.rank, [p for amb in edge_ambs for p in amb.pieces]
+        )
 
         # stalk generators (degree, boundary row) and kernel generators
         # (degree, stalk vector), each with its store of multiples
@@ -186,21 +176,14 @@ def compute_bmp(
                 )
                 gens.extend((d, {w: kernel[i]}) for i in born)
 
-        # a new generator restricts to e by its boundary row's slice on e;
-        # the lower end restricts by the identity, generator t to piece t's 1
-        for e, amb in zip(d_edges, edge_ambs):
-            restrictions[(w, e)] = []
-            restrictions[(e.lower, e)] = [
-                [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
-                for t, s in enumerate(edge_shifts[e])
-            ]
+        # a new generator restricts to e by its boundary row's slice on e
+        restrictions.update((e, []) for e in d_edges)
         for d, vec in new_gens:
             start = 0
             for e, amb in zip(d_edges, edge_ambs):
-                restrictions[(w, e)].append(vec[start : start + amb.dim(d)])
+                restrictions[e].append(vec[start : start + amb.dim(d)])
                 start += amb.dim(d)
 
-        processed.add(w)
         for e in d_edges:
             pending[e.lower] -= 1
         done = [v for v in (w, *(e.lower for e in d_edges)) if not pending[v]]
@@ -209,16 +192,7 @@ def compute_bmp(
                 vecs.pop(v, None)
         gens = [g for g in gens if g[1]]
 
-    # edges whose lower end is off the support carry the zero module
-    for e in graph.edges:
-        if e not in edge_shifts:
-            if e.lower in processed:
-                raise AssertionError("support edge left unprocessed")
-            edge_shifts[e] = ()
-            restrictions[(e.upper, e)] = [[] for _ in shifts[e.upper]]
-            restrictions[(e.lower, e)] = []
-
-    return BMPSheaf(base, sheaf)
+    return sheaf
 
 
 # -- cross-validation -------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     PredicateViolation,
     UnsupportedKind,
 )
+from .graded_algebra import poly_ring
 from .kl import KLTable
 from .moment_graph import MomentGraph
 from .root_datum import AFFINE, FINITE, RootDatum, height
@@ -117,7 +118,8 @@ def _kostant_table(datum: RootDatum, depth: int) -> dict:
             weighted_roots.append((tuple(k * c for c in delta), mult))
             k += 1
     n = datum.rank
-    points = sorted(_lattice_points(n, depth), key=lambda b: (height(b), b))
+    # (height, b) order: monomials(h) lists the height-h points sorted
+    points = [b for h in range(depth + 1) for b in poly_ring(n).monomials(h)]
     counts = {b: 0 for b in points}
     counts[(0,) * n] = 1
     for root, mult in sorted(weighted_roots, key=lambda rm: (height(rm[0]), rm[0])):
@@ -127,16 +129,6 @@ def _kostant_table(datum: RootDatum, depth: int) -> dict:
                 if all(c >= 0 for c in prev):
                     counts[b] += counts[prev]
     return counts
-
-
-def _lattice_points(n: int, depth: int):
-    if n == 1:
-        for h in range(depth + 1):
-            yield (h,)
-        return
-    for first in range(depth + 1):
-        for rest in _lattice_points(n - 1, depth - first):
-            yield (first,) + rest
 
 
 def kostant_partition(datum: RootDatum, beta, depth: int) -> int:

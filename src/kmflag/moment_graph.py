@@ -5,14 +5,15 @@ real reflection times the other, and the edge is labeled by the positive
 root of that reflection (or by its coroot on the Langlands-dual graph).
 The stored partial order is the Bruhat order itself; consumers whose
 stratification convention orders by closure should note that it runs
-opposite.  Graph sheaves assign graded free modules to vertices,
-label-annihilated modules to edges, and restriction maps to incidences;
-section spaces are computed degreewise as exact kernels.
+opposite.  Graph sheaves assign graded free modules to vertices and, to
+each edge, its lower stalk modulo the label; they store the upper ends'
+restriction maps and derive the lower ends' canonical quotients.  Section
+spaces are computed degreewise as exact kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._linalg import kernel_basis
 from .errors import DegreeCapExceeded
@@ -36,8 +37,6 @@ class MomentGraph:
     ideal: BruhatIdeal
     edges: tuple[Edge, ...]
     dual_flag: bool
-    #: datum whose root lattice carries the edge labels
-    label_datum: RootDatum = field(compare=False)
 
     @property
     def vertices(self) -> tuple[WeylElement, ...]:
@@ -55,18 +54,17 @@ def build_moment_graph(
     inversion sets of the vertices are read, never the (possibly infinite)
     set of real roots."""
     edges = [Edge(y, w, beta) for w in ideal for beta, y in ideal.lower_reflections(w)]
-    label_datum = datum
     if dual:
-        label_datum = datum.langlands_dual()
+        dual_datum = datum.langlands_dual()
         mapped = []
         for e in edges:
             covec = datum.coroot_coords(e.label)
-            if not label_datum.is_real_root(covec):
+            if not dual_datum.is_real_root(covec):
                 raise AssertionError("coroot label is not a dual real root")
             mapped.append(Edge(e.lower, e.upper, covec))
         edges = mapped
     edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
-    return MomentGraph(datum, ideal, tuple(edges), dual, label_datum)
+    return MomentGraph(datum, ideal, tuple(edges), dual)
 
 
 # -- sheaves on a moment graph ---------------------------------------------
@@ -74,33 +72,52 @@ def build_moment_graph(
 
 @dataclass
 class GraphSheaf:
-    """Graded sheaf data: free vertex modules, label-annihilated edge
-    modules, and restriction maps given by generator images:
-    restrictions[(v, e)] holds each generator of the stalk at v mapped to a
-    flattened edge_ambient(e) vector in that generator's degree."""
+    """Graded sheaf data as the canonical construction builds it: a free
+    stalk at every vertex, given by its generator degrees, and on each edge
+    its lower stalk modulo the label.  restrictions[e] maps each generator
+    of the upper stalk to a flattened edge_ambient(e) vector in that
+    generator's degree; the lower stalk maps onto the edge by the canonical
+    quotient, which is derived."""
 
     graph: MomentGraph
-    nvars: int
     vertex_shifts: dict
-    edge_shifts: dict
     restrictions: dict
     degree_cap: int
 
     def vertex_ambient(self, v) -> ModuleAmbient:
         return ModuleAmbient(
-            self.nvars, [CyclicPiece(s) for s in self.vertex_shifts[v]]
+            self.graph.datum.rank, [CyclicPiece(s) for s in self.vertex_shifts[v]]
         )
 
     def edge_ambient(self, e: Edge) -> ModuleAmbient:
         return ModuleAmbient(
-            self.nvars, [CyclicPiece(s, e.label) for s in self.edge_shifts[e]]
+            self.graph.datum.rank,
+            [CyclicPiece(s, e.label) for s in self.vertex_shifts[e.lower]],
         )
+
+    def images(self, v, e: Edge) -> list:
+        """Each generator of the stalk at the endpoint v of e, mapped to a
+        flattened edge_ambient(e) vector: the stored images at the upper
+        end, generator t to piece t's 1 at the lower end, and empty vectors
+        when the lower stalk, and so the edge module, is zero."""
+        if v not in (e.lower, e.upper):
+            raise ValueError(f"{v!r} is not an endpoint of the edge")
+        shifts = self.vertex_shifts[v]
+        if not self.vertex_shifts[e.lower]:
+            return [[] for _ in shifts]
+        if v == e.upper:
+            return self.restrictions[e]
+        amb = self.edge_ambient(e)
+        return [
+            [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
+            for t, s in enumerate(shifts)
+        ]
 
     def restriction_matrix(self, v, e: Edge, d: int):
         """Degree-d matrix of the restriction map as columns over the
         flattened vertex coordinates."""
         eamb = self.edge_ambient(e)
-        gens = zip(self.vertex_shifts[v], self.restrictions[(v, e)])
+        gens = zip(self.vertex_shifts[v], self.images(v, e))
         cols = monomial_multiples(eamb, gens, d)
         return [[col[r] for col in cols] for r in range(eamb.dim(d))]
 
@@ -108,14 +125,8 @@ class GraphSheaf:
 def constant_sheaf(graph: MomentGraph, degree_cap: int) -> GraphSheaf:
     """The structure sheaf: S at every vertex, S/(label) on every edge,
     canonical quotients as restrictions."""
-    n = graph.label_datum.rank
-    vertex_shifts = {v: (0,) for v in graph.vertices}
-    edge_shifts = {e: (0,) for e in graph.edges}
-    restrictions = {}
-    for e in graph.edges:
-        restrictions[(e.lower, e)] = ([1],)
-        restrictions[(e.upper, e)] = ([1],)
-    return GraphSheaf(graph, n, vertex_shifts, edge_shifts, restrictions, degree_cap)
+    shifts = {v: (0,) for v in graph.vertices}
+    return GraphSheaf(graph, shifts, {e: ([1],) for e in graph.edges}, degree_cap)
 
 
 def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> dict:

@@ -177,9 +177,7 @@ class RootDatum:
             i = next((k for k, p in enumerate(pairings) if p > 0), None)
             if i is None:
                 return False
-            beta = tuple(
-                c - pairings[i] if j == i else c for j, c in enumerate(beta)
-            )
+            beta = self.reflect_simple(i, beta)
             if not is_positive_vector(beta):
                 return False
 

@@ -16,7 +16,6 @@ neighbours s_i w, which KLTable reads in place of matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from ._linalg import kernel_basis
@@ -241,18 +240,13 @@ def reflection(datum: RootDatum, beta) -> WeylElement:
         raise NotRealRoot(f"{beta} is not a positive vector")
     if not datum.is_real_root(beta):
         raise NotRealRoot(f"{beta} is not a real root")
-    norm = datum.bilinear(beta, beta)
+    # <alpha_j, beta^vee> = sum_i c_i a_ij for beta^vee = sum_i c_i alpha_i^vee
+    coroot = datum.coroot_coords(beta)
     n = datum.rank
     cols = []
     for j in range(n):
-        pairing = Fraction(2 * datum.bilinear(datum.simple_root(j), beta), norm)
-        if pairing.denominator != 1:
-            raise AssertionError(f"non-integral coroot pairing for {beta}")
-        cols.append(
-            tuple(
-                (1 if r == j else 0) - int(pairing) * beta[r] for r in range(n)
-            )
-        )
+        pairing = sum(c * datum.cartan[i][j] for i, c in enumerate(coroot))
+        cols.append(tuple((1 if r == j else 0) - pairing * beta[r] for r in range(n)))
     m = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
     return WeylElement(datum, m, m)
 

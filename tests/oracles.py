@@ -380,7 +380,7 @@ def brute_kostant(datum, beta, positive_roots_with_mult) -> int:
     return count
 
 
-def bmp_cover_degrees(result) -> dict:
+def bmp_cover_degrees(sheaf) -> dict:
     """Stalk degrees that the defining cover condition of the canonical
     sheaf (Braden-MacPherson 2001; Fiebig, Adv. Math. 2008) demands of a
     compute_bmp result, at every vertex of its support.
@@ -389,23 +389,21 @@ def bmp_cover_degrees(result) -> dict:
     minimal graded free cover of the image of the sections over {y < w}
     in the boundary module, the sum of the edge modules over the edges
     e = (y, w).  The sections are recomputed with sections() on the
-    result's own sheaf for every w, where compute_bmp carries them along.
+    sheaf itself for every w, where compute_bmp carries them along.
     """
-    sheaf = result.sheaf
-    graph = result.graph
-    cap = result.degree_cap
+    graph = sheaf.graph
+    cap = sheaf.degree_cap
     out = {}
     for w in graph.vertices:
-        if not bruhat_leq(result.base, w):
+        if not bruhat_leq(sheaf.base, w):
             continue
-        if w == result.base:
+        if w == sheaf.base:
             out[w] = (0,)
             continue
         below = [y for y in graph.vertices if y != w and bruhat_leq(y, w)]
         up_edges = [e for e in graph.edges if e.upper == w]
-        boundary = ModuleAmbient(
-            sheaf.nvars, [p for e in up_edges for p in sheaf.edge_ambient(e).pieces]
-        )
+        pieces = [p for e in up_edges for p in sheaf.edge_ambient(e).pieces]
+        boundary = ModuleAmbient(graph.datum.rank, pieces)
         images = []
         for d, secs in sections(sheaf, subset=below, max_degree=cap).items():
             maps = [(e.lower, sheaf.restriction_matrix(e.lower, e, d)) for e in up_edges]

@@ -165,7 +165,7 @@ def test_sections_satisfy_edge_equations(graph_fixture, base_word, request):
     if base_word is None:
         sheaf = constant_sheaf(graph, 4)
     else:
-        sheaf = compute_bmp(graph, from_word(graph.datum, base_word)).sheaf
+        sheaf = compute_bmp(graph, from_word(graph.datum, base_word))
     for d, basis in sections(sheaf, max_degree=4).items():
         assert basis
         for sec in basis:
@@ -183,6 +183,49 @@ def test_sections_satisfy_edge_equations(graph_fixture, base_word, request):
                 ]
                 where = (format_word(e.lower), format_word(e.upper), d)
                 assert images[0] == images[1], where
+
+
+@pytest.fixture(scope="module")
+def b2_dual_graph(b2, b2_group):
+    return build_moment_graph(b2, b2_group, dual=True)
+
+
+@pytest.mark.parametrize(
+    "graph_fixture, base_words",
+    [("a2_graph", None), ("b2_dual_graph", None), ("a3_graph", [[1]])],
+    ids=["a2", "b2-dual", "a3-2"],
+)
+def test_lower_maps_are_the_edge_reductions(graph_fixture, base_words, request):
+    # the derived lower-end map of the constant sheaf and of the canonical
+    # sheaves (from every base, or from the bases given) is the reduction
+    # compute_bmp pushes sections through: column c is free coordinate c
+    # reduced into the edge module.  A2 and B2 have stalks of rank 1 only;
+    # A3 from s2 has stalks of rank 2, where generator t is not piece 0.
+    graph = request.getfixturevalue(graph_fixture)
+    if base_words is None:
+        bases = graph.vertices
+    else:
+        bases = [from_word(graph.datum, word) for word in base_words]
+    sheaves = [constant_sheaf(graph, 6)]
+    sheaves.extend(compute_bmp(graph, base) for base in bases)
+    for sheaf in sheaves:
+        for e in graph.edges:
+            eamb = sheaf.edge_ambient(e)
+            for d in range(0, sheaf.degree_cap + 1, 2):
+                matrix = sheaf.restriction_matrix(e.lower, e, d)
+                dim = sheaf.vertex_ambient(e.lower).dim(d)
+                units = [[int(i == c) for i in range(dim)] for c in range(dim)]
+                assert [[row[c] for row in matrix] for c in range(dim)] == [
+                    eamb.reduce_free(unit, d) for unit in units
+                ], (format_word(e.lower), format_word(e.upper), d)
+
+
+def test_restriction_matrix_needs_an_endpoint(a2_graph):
+    sheaf = constant_sheaf(a2_graph, 2)
+    e = a2_graph.edges[0]
+    other = next(v for v in a2_graph.vertices if v not in (e.lower, e.upper))
+    with pytest.raises(ValueError, match="not an endpoint"):
+        sheaf.restriction_matrix(other, e, 0)
 
 
 def test_covering_relations(a2_group):
