@@ -8,21 +8,15 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import os
 import sys
 
-from . import bmp as bmp_mod
-from . import category_o as cat_mod
+# only what every command needs; each handler imports the stages it runs
 from . import weyl as weyl_mod
 from .errors import (
     RESOURCE_GUARD_ERRORS, CrossCheckFailed, NotGCM, SizeLimitExceeded, ToolkitError,
 )
-from .kl import KLTable
-from .moment_graph import build_moment_graph, covering_relations
 from .root_datum import INDEFINITE, validate_cartan
 
 EXIT_OK = 0
@@ -88,6 +82,9 @@ def _json_doc(obj) -> str:
 
 
 def _csv_doc(header, rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -130,6 +127,8 @@ def _cmd_weyl_ideal(ns):
 
 
 def _cmd_kl(ns):
+    from .kl import KLTable
+
     _, ideal = _load_ideal(ns)
     table = KLTable(ideal)
     # position-keyed entry points: the pairs y <= w are read off the bitsets
@@ -155,6 +154,8 @@ def _cmd_kl(ns):
 
 
 def _cmd_moment_graph(ns):
+    from .moment_graph import build_moment_graph, covering_relations
+
     datum, ideal = _load_ideal(ns)
     graph = build_moment_graph(datum, ideal, dual=ns.dual)
     doc = {
@@ -171,7 +172,9 @@ def _cmd_moment_graph(ns):
 
 def _verification(sheaf, table):
     """The inverse-KL check of one sheaf as emitted: entries, then all_match."""
-    report = bmp_mod.verify_against_inverse_kl(sheaf, table)
+    from .bmp import verify_against_inverse_kl
+
+    report = verify_against_inverse_kl(sheaf, table)
     entries = [
         {
             "vertex": _word(entry.vertex),
@@ -185,10 +188,14 @@ def _verification(sheaf, table):
 
 
 def _cmd_bmp(ns):
+    from .bmp import compute_bmp
+    from .kl import KLTable
+    from .moment_graph import build_moment_graph
+
     datum, ideal = _load_ideal(ns)
     graph = build_moment_graph(datum, ideal, dual=ns.dual)
     base = _parse_element(datum, ns.base or "e", "--base")
-    sheaf = bmp_mod.compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
+    sheaf = compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
     doc = {
         "base": _word(base),
         "dual": ns.dual,
@@ -203,6 +210,10 @@ def _cmd_bmp(ns):
 
 
 def _cmd_verify_kl(ns):
+    from .bmp import compute_bmp
+    from .kl import KLTable
+    from .moment_graph import build_moment_graph
+
     datum, ideal = _load_ideal(ns)
     graph = build_moment_graph(datum, ideal, dual=ns.dual)
     table = KLTable(ideal)
@@ -212,7 +223,7 @@ def _cmd_verify_kl(ns):
         bases = list(graph.vertices)
     reports = []
     for base in bases:
-        sheaf = bmp_mod.compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
+        sheaf = compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
         reports.append({"base": _word(base), **_verification(sheaf, table)})
     ok = all(report["all_match"] for report in reports)
     doc = {"bases": reports, "all_match": ok}
@@ -220,6 +231,11 @@ def _cmd_verify_kl(ns):
 
 
 def _cmd_characters(ns):
+    from math import comb
+
+    from .category_o import classify_weight, irreducible_character
+    from .kl import KLTable
+
     datum = _load_datum(ns)
     if ns.pairings is None:
         raise _CliError("--pairings is required")
@@ -227,16 +243,16 @@ def _cmd_characters(ns):
     w = _parse_element(datum, ns.element, "--element")
     if datum.kind != INDEFINITE:
         # the Kostant table holds every lattice point of height <= depth
-        points = math.comb(ns.depth + datum.rank, datum.rank)
+        points = comb(ns.depth + datum.rank, datum.rank)
         if points > ns.size_limit:
             raise SizeLimitExceeded(
                 f"--depth {ns.depth} needs {points} lattice points in the "
                 f"character table, above the size limit {ns.size_limit}"
             )
     ideal = weyl_mod.ideal_from_generators(datum, [w], ns.size_limit)
-    block = cat_mod.classify_weight(datum, pairings, ideal)
+    block = classify_weight(datum, pairings, ideal)
     table = KLTable(ideal)
-    series = cat_mod.irreducible_character(block, w, ns.depth, table)
+    series = irreducible_character(block, w, ns.depth, table)
     offsets = sorted(series.coeffs, key=lambda o: (-sum(o), o))
     doc = {
         "pairings": list(pairings),
@@ -251,19 +267,23 @@ def _cmd_characters(ns):
 
 
 def _cmd_multiplicities(ns):
+    from .category_o import SheafTable, classify_weight, projective_verma_multiplicity
+    from .kl import KLTable
+    from .moment_graph import build_moment_graph
+
     datum, ideal = _load_ideal(ns)
     pairings = (
         _parse_pairings(datum, ns.pairings)
         if ns.pairings is not None
         else (-2,) * datum.rank
     )
-    block = cat_mod.classify_weight(datum, pairings, ideal)
+    block = classify_weight(datum, pairings, ideal)
     table = KLTable(ideal)
-    sheaves = cat_mod.SheafTable(build_moment_graph(datum, ideal, dual=True))
+    sheaves = SheafTable(build_moment_graph(datum, ideal, dual=True))
     rows = []
     for w in ideal:
         for x in ideal:
-            value = cat_mod.projective_verma_multiplicity(block, w, x, sheaves, table)
+            value = projective_verma_multiplicity(block, w, x, sheaves, table)
             rows.append((_word(w), _word(x), value))
     if ns.format == "csv":
         return EXIT_OK, _csv_doc(("w_word", "x_word", "multiplicity"), rows)

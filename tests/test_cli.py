@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kmflag
 from kmflag.cli import main
 
 from conftest import GCM_PAIRS, rank3_datum
@@ -401,6 +406,49 @@ def test_golden_output(tmp_path, monkeypatch, cartan, args, sha):
     status, doc = run_cli(command, "--cartan", str(path), *rest)
     assert status == 0, doc
     assert hashlib.sha256(doc.encode()).hexdigest() == sha
+
+
+#: the stage modules each command loads in a fresh process beyond those every
+#: command loads (errors, _linalg, root_datum and weyl); json is the
+#: default format, so a "--format json" run's pin is that of the plain run
+FRESH = (
+    ("roots", ()),
+    ("weyl-ideal --max-length 3 --format csv", ()),
+    ("kl --max-length 3 --format json", ("kl",)),
+    ("inverse-kl --max-length 3 --format csv", ("kl",)),
+    ("strata --max-length 3", ()),
+    ("moment-graph --max-length 3", ("graded_algebra", "moment_graph")),
+    ("bmp --max-length 3 --base 1 --verify",
+     ("bmp", "graded_algebra", "kl", "moment_graph")),
+    ("verify-kl --max-length 3", ("bmp", "graded_algebra", "kl", "moment_graph")),
+    ("characters --pairings -2,-2 --element 1,2,1 --depth 6",
+     ("bmp", "category_o", "graded_algebra", "kl", "moment_graph")),
+    ("multiplicities --max-length 3 --format csv",
+     ("bmp", "category_o", "graded_algebra", "kl", "moment_graph")),
+)
+
+
+@pytest.mark.parametrize("args, stages", FRESH, ids=[a.split()[0] for a, _ in FRESH])
+def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
+    # in process, another test's imports could hide a handler's missing one
+    sha = {a: h for c, a, h in GOLDEN if c == "a2"}[args.replace(" --format json", "")]
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"cartan": GOLDEN_CARTANS["a2"]}))
+    env = {k: v for k, v in os.environ.items() if k != "KMFLAG_SIZE_LIMIT"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kmflag.__file__))
+    command, *rest = args.split()
+    done = subprocess.run(
+        [sys.executable, "-v", "-m", "kmflag.cli", command, "--cartan", str(path), *rest],
+        env=env, capture_output=True,
+    )
+    assert done.returncode == 0, done.stdout
+    assert hashlib.sha256(done.stdout).hexdigest() == sha
+    # -v logs every module loaded, including those imported through importlib
+    loaded = set(re.findall(r"^import '([\w.]+)'", done.stderr.decode(), re.M))
+    assert {m for m in loaded if m.startswith("kmflag.")} == {
+        f"kmflag.{m}" for m in ("_linalg", "errors", "root_datum", "weyl", *stages)
+    }
+    assert ("csv" in loaded) == ("--format csv" in args)
 
 
 @pytest.mark.parametrize(
