@@ -209,7 +209,9 @@ def jh_multiplicity(
     block: BlockSpec, x: WeylElement, y: WeylElement, table: KLTable
 ) -> int:
     """[Delta(x.lambda) : L(y.lambda)], an inverse KL value at 1; nonzero
-    only when y <= x."""
+    only when y <= x.  The formula holds on an integral, regular,
+    antidominant, not critical block, which is enforced."""
+    _require_block(block, undecided_ok=True)
     return table.inverse_kl(y, x)(1)
 
 
@@ -241,10 +243,8 @@ def projective_verma_multiplicity(
     the Langlands-dual moment graph that the sheaf table is built on.  BGG
     reciprocity against the Jordan-Holder multiplicity is enforced on every
     call, on an integral, regular, antidominant, not critical block."""
-    _require_block(block, undecided_ok=True)
-    sheaf = sheaves.sheaf(w)
-    value = stalk_poincare(sheaf, x)(1)
     expected = jh_multiplicity(block, x, w, table)
+    value = stalk_poincare(sheaves.sheaf(w), x)(1)
     if value != expected:
         raise CrossCheckFailed(
             f"BGG reciprocity violated at ({w!r}, {x!r}): {value} != {expected}"

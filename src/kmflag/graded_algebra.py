@@ -1,19 +1,19 @@
-"""Exact graded commutative algebra over the rationals.
+"""Exact graded commutative algebra with integral normal forms.
 
 S is the polynomial ring on the images of the simple roots, graded so that
 each generator sits in degree 2.  Modules are finite direct sums of cyclic
 pieces S/(alpha)(-shift) for a linear form alpha, with explicit homogeneous
 generators, exact below a configured degree cap.  A free piece is the
 quotient by the zero form, so every piece shares LinearQuotient's
-normal-form arithmetic.  A degree-d element is a flat vector: the
-concatenation, over the pieces live in degree d, of its coefficients on
-that piece's reduced monomials; a generator is a (degree, vector) pair.
+normal-form arithmetic, whose maps are all integral.  A degree-d element
+is a flat vector: the concatenation, over the pieces live in degree d, of
+its coefficients on that piece's reduced monomials; a generator is a
+(degree, vector) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from ._linalg import RowSpan, solve_right
@@ -70,33 +70,31 @@ def poly_ring(nvars: int) -> PolyRing:
     return PolyRing(nvars)
 
 
-def _integral(x):
-    """x as an int when it is a whole number."""
-    return x.numerator if x.denominator == 1 else x
-
-
 class LinearQuotient:
     """Normal-form arithmetic in S/(alpha) for a linear form alpha.
 
-    The first generator with a nonzero coefficient is substituted away, so
-    normal forms are spanned by the monomials avoiding it.  Multiplication
-    by a variable (mul_var_map) is the one primitive; reduction maps are
-    built from it.  Substitution, reduction and multiplication coefficients
-    are ints whenever they are integral, as they are when that generator's
-    coefficient is +-1.  The zero form eliminates nothing (elim is None):
-    S/(0) is the free piece S, every monomial is a normal form and
-    reduction is the identity.
+    Let c be alpha's first nonzero coefficient, on the generator x_e.  Then
+    S/(alpha) is the polynomial ring on the kept generators scaled as
+    t_i = x_i/|c| (i != e), so normal forms are spanned by the monomials
+    avoiding x_e, read in the t_i.  Every generator is one integral linear
+    form in the t_i: x_i = |c| t_i and x_e = -sign(c) sum_{i != e} alpha_i t_i.
+    images[var] holds that form as {kept index: coefficient}, so every map
+    is integral.  Multiplication by a variable (mul_var_map) is the one
+    primitive; reduction maps are built from it.  The zero form eliminates
+    nothing (elim is None): S/(0) is the free piece S, t_i = x_i, every
+    monomial is a normal form and reduction is the identity.
     """
 
     def __init__(self, ring: PolyRing, coords):
         self.ring = ring
-        self.coords = coords
-        self.elim = next((i for i, c in enumerate(coords) if c), None)
-        self.sub = {
-            i: _integral(-Fraction(c) / coords[self.elim])
-            for i, c in enumerate(coords)
-            if c and i != self.elim
-        }
+        self.elim = e = next((i for i, c in enumerate(coords) if c), None)
+        c = 1 if e is None else coords[e]
+        sign = 1 if c > 0 else -1
+        self.images = tuple(
+            {t: -sign * a for t, a in enumerate(coords) if a and t != e}
+            if i == e else {i: abs(c)}
+            for i in range(ring.nvars)
+        )
         self._reduced: dict[int, tuple] = {}
         self._reduced_index: dict[int, dict] = {}
         self._mulmaps: dict = {}
@@ -104,7 +102,8 @@ class LinearQuotient:
     def reduced_monomials(self, k: int) -> tuple:
         got = self._reduced.get(k)
         if got is None:
-            got = tuple(m for m in self.ring.monomials(k) if not self._elim_exp(m))
+            e = self.elim
+            got = tuple(m for m in self.ring.monomials(k) if e is None or not m[e])
             self._reduced[k] = got
         return got
 
@@ -117,10 +116,6 @@ class LinearQuotient:
 
     def dim(self, k: int) -> int:
         return len(self.reduced_monomials(k))
-
-    def _elim_exp(self, exp) -> int:
-        """Exponent of the eliminated generator; 0 when nothing is."""
-        return 0 if self.elim is None else exp[self.elim]
 
     def reduce_map_indexed(self, k: int) -> tuple:
         """Reduction matrix in sparse index form: per source monomial index,
@@ -142,7 +137,7 @@ class LinearQuotient:
                     for src, c in prev[j]:
                         for tgt, f in mul[src]:
                             acc[tgt] = acc.get(tgt, 0) + c * f
-                    rows.append(tuple((t, _integral(v)) for t, v in acc.items() if v))
+                    rows.append(tuple((t, v) for t, v in acc.items() if v))
                 got = tuple(rows)
             self._mulmaps[key] = got
         return got
@@ -158,23 +153,19 @@ class LinearQuotient:
 
     def mul_var_map(self, k: int, var: int) -> tuple:
         """Multiplication by x_var from reduced degree k to reduced degree
-        k+1, as ((target, coeff), ...) per source monomial."""
+        k+1, as ((target, coeff), ...) per source monomial: t^m goes to
+        sum over images[var] of f * t^m * t_i."""
         key = (k, var)
         got = self._mulmaps.get(key)
         if got is None:
             idx = self.reduced_index(k + 1)
-            rows = []
-            for m in self.reduced_monomials(k):
-                if var != self.elim:
-                    tgt = tuple(e + (1 if i == var else 0) for i, e in enumerate(m))
-                    rows.append(((idx[tgt], 1),))
-                else:
-                    row = []
-                    for i, f in self.sub.items():
-                        tgt = tuple(e + (1 if t == i else 0) for t, e in enumerate(m))
-                        row.append((idx[tgt], f))
-                    rows.append(tuple(row))
-            got = tuple(rows)
+            image = self.images[var].items()
+            got = tuple(
+                tuple(
+                    (idx[m[:i] + (m[i] + 1,) + m[i + 1 :]], f) for i, f in image
+                )
+                for m in self.reduced_monomials(k)
+            )
             self._mulmaps[key] = got
         return got
 

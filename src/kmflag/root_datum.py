@@ -12,7 +12,6 @@ integer tuples, and the symmetric bilinear form is normalized so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
@@ -259,10 +258,10 @@ class RootDatum:
         norm = self.bilinear(beta, beta)
         if norm <= 0:
             raise ValueError("coroot defined only for real roots")
-        coords = [Fraction(2 * c * d, norm) for c, d in zip(beta, self.symmetrizer)]
-        if any(c.denominator != 1 for c in coords):
+        coords = [divmod(2 * c * d, norm) for c, d in zip(beta, self.symmetrizer)]
+        if any(r for _, r in coords):
             raise ValueError(f"non-integral coroot coordinates for {beta}")
-        return tuple(int(c) for c in coords)
+        return tuple(q for q, _ in coords)
 
 
 # bounded: a datum rebuilt after eviction equals the old one, and Weyl

@@ -10,7 +10,8 @@ linear form, reduce_mod_linear as its remainder, and the structure-algebra
 congruence test structure_algebra_check on top of them.  It shares no code
 with the package's LinearQuotient, whose reduction maps are built from
 multiplication by a variable.  spoly_vector turns an SPoly tuple into the
-package's flat element format through divide_by_linear remainders, so the
+package's flat element format through divide_by_linear remainders,
+rescaled by t_basis to the package's monomials in t_i = x_i/|c|, so the
 tests build modules and expected products and reductions without the
 package's normal forms.  The BMP oracle
 recomputes sections from scratch at every vertex instead of carrying them
@@ -193,6 +194,16 @@ def reduce_mod_linear(p: SPoly, alpha: SPoly) -> SPoly:
     """Canonical normal form of p in S/(alpha): the divide_by_linear
     remainder, free of alpha's first generator."""
     return divide_by_linear(p, alpha)[1]
+
+
+def t_basis(p: SPoly, label) -> SPoly:
+    """A remainder p modulo the label, rewritten on monomials in
+    t_i = x_i/|c|, c the label's first nonzero coefficient: each degree-k
+    term is scaled by |c|^k.  This is the package's normal-form basis; |c|
+    is read off the label, so the change of basis shares no code with
+    LinearQuotient.  The zero label (a free piece) leaves p as it is."""
+    c = next((abs(a) for a in label if a), 1)
+    return SPoly(p.nvars, {e: a * c ** sum(e) for e, a in p.terms.items()})
 
 
 def structure_algebra_check(graph, tuples: dict) -> bool:
@@ -420,8 +431,9 @@ def spoly_vector(amb, element, d: int):
     """The flat degree-d vector of an element given as one SPoly per piece
     of the ambient: over the pieces live in degree d, the coefficients of
     the piece's divide_by_linear remainder (the polynomial itself on a free
-    piece) on its reduced monomials.  A piece that is dead in degree d must
-    carry zero, and a live one a polynomial of the slice's degree."""
+    piece) on its reduced monomials, in the t_basis.  A piece that is dead
+    in degree d must carry zero, and a live one a polynomial of the slice's
+    degree."""
     out = []
     for p, piece, quot in zip(element, amb.pieces, amb.quotients):
         rel = d - piece.shift
@@ -431,6 +443,7 @@ def spoly_vector(amb, element, d: int):
         assert all(sum(exp) == rel // 2 for exp in p.terms), "coordinate degree"
         if piece.annihilator is not None:
             _, p = divide_by_linear(p, SPoly.linear(piece.annihilator))
+            p = t_basis(p, piece.annihilator)
         index = {m: i for i, m in enumerate(quot.reduced_monomials(rel // 2))}
         block = [0] * len(index)
         for exp, c in p.terms.items():

@@ -35,6 +35,7 @@ from oracles import bmp_cover_degrees
 G2 = [[2, -1], [-3, 2]]
 B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
+AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 # _sheaf_digest() of the current construction; test_sheaf_digest_pinned says
 # when a change may re-pin it
@@ -182,6 +183,15 @@ def test_stalks_equal_cover_oracle(a2_graph, b2_graph, b2, b2_group, affine_a1, 
     # two stalks of rank 2 on A3; eight of rank 2 or more on B3
     cases.append((a3_graph, from_word(a3, [0, 2])))
     cases.append((b3_graph, from_word(b3_graph.datum, [1, 0, 2])))
+    # labels whose first coefficient is not +-1, met in degree 2 and up, so
+    # the normal-form basis changes the restriction vectors: affine A2
+    # (labels such as 2a1 + a2 + a3) and B3's dual graph (2a2 + a3 and
+    # 2a1 + 2a2 + a3); B3 dual from s2 would take minutes in the oracle
+    affine_a2 = validate_cartan(AFFINE_A2)
+    affine_a2_graph = build_moment_graph(affine_a2, enumerate_ideal(affine_a2, 4))
+    cases.append((affine_a2_graph, from_word(affine_a2, [0])))
+    b3_dual = build_moment_graph(b3_graph.datum, b3_graph.ideal, dual=True)
+    cases.append((b3_dual, from_word(b3_graph.datum, [0, 2, 1, 0, 2])))
     for graph, base in cases:
         fast = compute_bmp(graph, base)
         support = {w: s for w, s in fast.stalks.items() if bruhat_leq(base, w)}
@@ -310,8 +320,11 @@ def _sheaf_digest():
 def test_sheaf_digest_pinned():
     """The whole sheaf, not only its stalk degrees, is pinned: shifts and
     restriction vectors on 100 bases.  A refactor of the construction must
-    keep this digest.  A deliberate change of basis (for example integral
-    normal forms for edge labels, ROADMAP open item 3) changes restriction
+    keep this digest.  A deliberate change of basis changes restriction
     vectors without changing the sheaf; such a change must re-pin the digest
-    and say so in CHANGES.md."""
+    and say so in CHANGES.md.  The integral normal forms of ROADMAP open
+    item 2 (edge modules on monomials in t_i = x_i/|c|) left it as it was:
+    these groups meet labels with |c| != 1 (B2's dual 2a1 + a2 and G2's)
+    only in degree-0 restrictions, where the basis does not change;
+    test_stalks_equal_cover_oracle covers sheaves where it does."""
     assert _sheaf_digest() == SHEAF_DIGEST

@@ -161,6 +161,18 @@ def test_jh_multiplicity_conventions(a2, a2_group, a2_table):
     assert jh_multiplicity(blk, s1, s2, a2_table) == 0
 
 
+def test_jh_multiplicity_predicates(a2, a2_group, a2_table):
+    # [Delta(w0.lam) : L(lam)] is an inverse KL value at 1 only on a
+    # regular antidominant block; the singular block (-1, -2) and the
+    # dominant block (1, 2) are refused
+    e = identity(a2)
+    w0 = from_word(a2, [0, 1, 0])
+    for pairings in ((-1, -2), (1, 2)):
+        block = classify_weight(a2, pairings, a2_group)
+        with pytest.raises(PredicateViolation):
+            jh_multiplicity(block, w0, e, a2_table)
+
+
 def test_jh_matches_character_count(a1, a1_group):
     # in the sl2 block: ch Delta(s.lam) = ch L(s.lam) + ch L(e.lam) exactly
     blk = antidominant_block(a1, a1_group)

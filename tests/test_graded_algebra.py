@@ -20,7 +20,7 @@ from kmflag.root_datum import validate_cartan
 from kmflag.weyl import enumerate_ideal, full_weyl_group
 
 from conftest import GCM_PAIRS, rank3_datum
-from oracles import SPoly, divide_by_linear, reduce_mod_linear, spoly_vector
+from oracles import SPoly, divide_by_linear, reduce_mod_linear, spoly_vector, t_basis
 
 
 def x(i, n=2):
@@ -226,47 +226,64 @@ def test_minimal_generators_presentation_independence():
         done += 1
 
 
-def _normal_form_over_q(quot, exp):
+def _normal_form_over_q(quot, label, exp):
     """{reduced index: coefficient} of a monomial's remainder under
-    divide_by_linear, which works in Fraction arithmetic."""
-    _, rem = divide_by_linear(SPoly(len(exp), {exp: 1}), SPoly.linear(quot.coords))
+    divide_by_linear, which works in Fraction arithmetic, rescaled by the
+    oracle's t_basis to monomials in t_i = x_i/|c|."""
+    _, rem = divide_by_linear(SPoly(len(exp), {exp: 1}), SPoly.linear(label))
     idx = quot.reduced_index(sum(exp))
-    return {idx[m]: c for m, c in rem.terms.items()}
+    return {idx[m]: c for m, c in t_basis(rem, label).terms.items()}
+
+
+def _check_quotient_maps(label, n, degrees, ints):
+    """reduce_map_indexed and mul_var_map rows of S/(label) below the
+    given degree equal the rescaled divide_by_linear remainders, and with
+    ints every coefficient is an int.  A mul_var_map row starts from the
+    basis monomial t^m = x^m / |c|^k, so its expected image is the
+    remainder of x^m * x_var divided by t_basis's scale of x^m."""
+    quot = linear_quotient(n, label)
+    for k in range(degrees):
+        for row, m in zip(quot.reduce_map_indexed(k), quot.ring.monomials(k)):
+            assert not ints or all(type(f) is int for _, f in row), (label, m)
+            assert dict(row) == _normal_form_over_q(quot, label, m), (label, m)
+        for var in range(n):
+            rows = quot.mul_var_map(k, var)
+            for m, row in zip(quot.reduced_monomials(k), rows):
+                assert not ints or all(type(f) is int for _, f in row), (label, m)
+                up = tuple(e + (t == var) for t, e in enumerate(m))
+                scale = t_basis(SPoly(n, {m: 1}), label).terms[m]
+                want = _normal_form_over_q(quot, label, up)
+                assert dict(row) == {i: c / scale for i, c in want.items()}, (label, up)
 
 
 @pytest.mark.parametrize(
     "cartan",
-    [[[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]],
-    ids=["a3", "b3"],
+    [
+        [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        [[2, -1], [-3, 2]],
+    ],
+    ids=["a3", "b3", "g2"],
 )
-def test_unit_label_quotient_maps_are_int(cartan):
+def test_edge_label_quotient_maps_are_int(cartan):
+    # every plain and dual edge label; B3's dual and G2's labels (G2's
+    # 2a1 + 3a2 among them) have a first coefficient other than +-1
     datum = validate_cartan(cartan)
-    graph = build_moment_graph(datum, full_weyl_group(datum))
-    labels = sorted({tuple(e.label) for e in graph.edges})
-    unit = [a for a in labels if abs(next(c for c in a if c)) == 1]
-    assert unit
-    n = datum.rank
-    for label in unit:
-        quot = linear_quotient(n, label)
-        for k in range(4):
-            for i, m in enumerate(quot.ring.monomials(k)):
-                row = quot.reduce_map_indexed(k)[i]
-                assert all(type(f) is int for _, f in row)
-                assert dict(row) == _normal_form_over_q(quot, m)
-            for var in range(n):
-                rows = quot.mul_var_map(k, var)
-                for m, row in zip(quot.reduced_monomials(k), rows):
-                    assert all(type(f) is int for _, f in row)
-                    up = tuple(e + (t == var) for t, e in enumerate(m))
-                    assert dict(row) == _normal_form_over_q(quot, up)
-
+    group = full_weyl_group(datum)
+    labels = {
+        tuple(e.label)
+        for dual in (False, True)
+        for e in build_moment_graph(datum, group, dual=dual).edges
+    }
+    for label in sorted(labels):
+        _check_quotient_maps(label, datum.rank, 4, ints=True)
 
 
 @given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
 def test_reduce_maps_match_division_on_rank3_labels(pairs):
     # every plain and dual edge label of a drawn rank-3 ideal; an entry of
     # -2 or -3 gives labels such as 3a1 + a2, whose eliminated coefficient
-    # is not +-1, so the step-built maps carry Fractions
+    # is not +-1, so the maps are in the rescaled basis
     datum = rank3_datum(pairs)
     ideal = enumerate_ideal(datum, 3)
     labels = {
@@ -275,11 +292,7 @@ def test_reduce_maps_match_division_on_rank3_labels(pairs):
         for e in build_moment_graph(datum, ideal, dual=dual).edges
     }
     for label in sorted(labels):
-        quot = linear_quotient(3, label)
-        for k in range(5):
-            rmap = quot.reduce_map_indexed(k)
-            for row, m in zip(rmap, quot.ring.monomials(k)):
-                assert dict(row) == _normal_form_over_q(quot, m), (label, m)
+        _check_quotient_maps(label, 3, 5, ints=False)
 
 # unit label (1, -1), non-unit label (2, 3), a free piece, and shifts of
 # both parities, so every degree has dead pieces
@@ -350,20 +363,18 @@ def _chain_multiples(amb, gens, d):
 
 
 def test_memoized_multiples_non_unit_label():
-    # G2's label 2a1 + 3a2 substitutes x1 = -3/2 x2, so the columns carry
-    # Fractions; a store kept over an ascending sweep, a fresh store and
-    # no store all give the plain chains
+    # G2's label 2a1 + 3a2 is read in t2 = x2/2, where x1 = -3 t2 and
+    # x2 = 2 t2, so every column is integral; a store kept over an
+    # ascending sweep, a fresh store and no store all give the plain chains
     amb = ModuleAmbient(2, [CyclicPiece(0, (2, 3)), CyclicPiece(2, (2, 3)), CyclicPiece(2)])
     rng = random.Random(13)
     gens = [(e, [rng.randint(-3, 3) for _ in range(amb.dim(e))]) for e in (0, 2, 2, 4)]
     store = {}
-    seen_fraction = False
     for d in range(0, 13, 2):
         expected = _chain_multiples(amb, gens, d)
         assert monomial_multiples(amb, gens, d, store) == expected, d
         assert monomial_multiples(amb, gens, d) == expected, d
-        seen_fraction |= any(type(c) is Fraction for col in expected for c in col)
-    assert seen_fraction
+        assert not any(type(c) is Fraction for col in expected for c in col), d
     # asking again below the stored degree rebuilds from the generator
     assert monomial_multiples(amb, gens, 4, store) == _chain_multiples(amb, gens, 4)
 

@@ -134,6 +134,12 @@ def test_coroot_pairings_integral(b2, affine_a1):
         for beta in datum.real_positive_roots(8):
             for p in datum.coroot_pairings(beta):
                 assert isinstance(p, int)
+            assert all(type(c) is int for c in datum.coroot_coords(beta))
+    # integrality is a guard: (2, 1) is no root of B2
+    with pytest.raises(ValueError, match="non-integral coroot coordinates for"):
+        b2.coroot_coords((2, 1))
+    with pytest.raises(ValueError, match="only for real roots"):
+        affine_a1.coroot_coords((1, 1))
 
 
 def test_height_bound_guard(affine_a1):
