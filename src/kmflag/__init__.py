@@ -10,7 +10,8 @@ import importlib
 
 #: submodule -> the public names it defines
 _PUBLIC = {
-    "bmp": ("BMPSheaf", "compute_bmp", "default_degree_cap", "stalk_poincare",
+    "bmp": ("BMPSheaf", "GraphSheaf", "compute_bmp", "constant_sheaf",
+            "default_degree_cap", "sections", "stalk_poincare",
             "verify_against_inverse_kl"),
     "category_o": ("BlockSpec", "CharacterSeries", "SheafTable", "antidominant_block",
                    "classify_weight", "irreducible_character", "jh_multiplicity",
@@ -19,8 +20,7 @@ _PUBLIC = {
     "graded_algebra": ("CyclicPiece", "GradedModuleRep", "ModuleAmbient",
                        "degree_basis", "minimal_generators"),
     "kl": ("KLTable", "QPoly"),
-    "moment_graph": ("Edge", "GraphSheaf", "MomentGraph", "build_moment_graph",
-                     "constant_sheaf", "covering_relations", "sections"),
+    "moment_graph": ("Edge", "MomentGraph", "build_moment_graph", "covering_relations"),
     "root_datum": ("RootDatum", "validate_cartan"),
     "weyl": ("BruhatIdeal", "WeightCoords", "WeylElement", "bruhat_leq", "dot_action",
              "enumerate_ideal", "format_word", "full_weyl_group",

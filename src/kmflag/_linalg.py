@@ -1,45 +1,34 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the integers for small dense systems.
 
-Vectors are plain lists of int or Fraction.  RowSpan, an incrementally
-kept reduced row-echelon span, is the one Gauss-Jordan routine:
-kernel_basis and solve_right reduce their rows through it.  Elimination is
-fraction-free: every row operation replaces v by b*v - a*row, with a and b
-the two entries of the pivot column divided by their gcd, and then divides
-the result by the gcd of its entries, so integral inputs stay Python ints
-throughout.  Results are the unique scale-free answers - primitive reduced
-row-echelon rows, primitive kernel vectors - and values read off as
-quotients a/b are ints whenever b divides a.
+Vectors are plain lists of int.  RowSpan, an incrementally kept reduced
+row-echelon span, is the one Gauss-Jordan routine: kernel_basis and
+solve_right reduce their rows through it.  Elimination is fraction-free:
+every row operation replaces v by b*v - a*row, with a and b the two entries
+of the pivot column divided by their gcd, and then divides the result by
+the gcd of its entries.  Results are the unique scale-free answers -
+primitive reduced row-echelon rows, primitive kernel vectors - and a value
+read off the reduced rows is cleared of its denominators by the least
+scale that does so, which is returned beside it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def primitive(vec):
-    """Scale a rational vector to a primitive integer vector, first nonzero
-    entry positive."""
-    scale = lcm(*[x.denominator for x in vec])
-    if scale == 1:
-        ints = _content_free([x.numerator for x in vec])
-    else:
-        ints = _content_free([x.numerator * (scale // x.denominator) for x in vec])
-    if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return ints
+    """An integer vector divided by the gcd of its entries, first nonzero
+    entry positive, as a new list."""
+    g = gcd(*vec)
+    if next((x for x in vec if x), 0) < 0:
+        g = -g
+    return list(vec) if g in (0, 1) else [x // g for x in vec]
 
 
 def _content_free(ints):
     """An integer vector divided by the gcd of its entries; signs kept."""
     g = gcd(*ints)
     return ints if g <= 1 else [x // g for x in ints]
-
-
-def _ratio(a, b):
-    """a/b for integers, as an int when b divides a."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
 
 
 def _combine(v, row, p):
@@ -102,19 +91,26 @@ class RowSpan:
         return True
 
 
-def _null_vectors(rows, pivots, ncols: int):
-    """Primitive basis of the kernel of reduced rows, one vector per free
-    column in increasing order."""
-    pivot_set = set(pivots)
+def _read_off(rows, pivots, c, slots, width: int):
+    """Column c of reduced rows, solved for in one slot per row and cleared
+    of denominators: (scale, x), x[slot] = scale * row[c] / row[p], for the
+    least integer scale >= 1 that makes every entry an integer."""
+    pairs = [(row[c], row[p]) for row, p in zip(rows, pivots)]
+    scale = lcm(*(b // gcd(a, b) for a, b in pairs if a))
+    x = [0] * width
+    for slot, (a, b) in zip(slots, pairs):
+        x[slot] = scale * a // b
+    return scale, x
+
+
+def _null_vectors(rows, pivots, ncols: int, width: int):
+    """Primitive basis of the kernel of reduced rows, one vector of length
+    width per free column below ncols, in increasing order."""
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for row, p in zip(rows, pivots):
-            if row[free]:
-                v[p] = _ratio(-row[free], row[p])
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        # minus a kernel vector; primitive fixes the sign
+        scale, v = _read_off(rows, pivots, free, pivots, width)
+        v[free] = -scale
         basis.append(primitive(v))
     return basis
 
@@ -124,20 +120,21 @@ def kernel_basis(rows, width: int):
     span = RowSpan(width)
     for row in rows:
         span.add(row)
-    return _null_vectors(span.rows, span.pivots, width)
+    return _null_vectors(span.rows, span.pivots, width, width)
 
 
 def solve_right(a_rows, rhs, ncols: int):
-    """One elimination of [A | B] for the right-hand sides b in rhs.
+    """One elimination of [A | B] for the integer right-hand sides b in rhs.
 
     A is given as rows of length ncols; each b has one entry per row of A.
     Returns (fresh, xs, kernel).  fresh lists, in order, the index of each b
     outside the column span of A and of the b's adjoined before it; A' is A
     with those b's adjoined as columns ncols, ncols + 1, ...  xs holds one
-    solution of A' x = b per b, with free coordinates zero, and kernel the
-    primitive basis of {v : A' v = 0}, which is zero on the adjoined
-    columns.  A zero b solves to the zero vector and stays out of the
-    elimination.
+    lift (scale, x) per b: x is the integer vector, free coordinates zero,
+    with A' x = scale * b for the least integer scale >= 1 that allows one.
+    kernel is the primitive basis of {v : A' v = 0}, which is zero on the
+    adjoined columns.  A zero b lifts to (1, zero vector) and stays out of
+    the elimination; an adjoined b lifts to (1, its unit vector).
     """
     live = [s for s, b in enumerate(rhs) if any(b)]
     span = RowSpan(ncols + len(live))
@@ -149,12 +146,9 @@ def solve_right(a_rows, rhs, ncols: int):
     fresh = [live[p - ncols] for p in pivots[n_a:]]
     width = ncols + len(fresh)
     slots = pivots[:n_a] + list(range(ncols, width))
-    xs = [[0] * width for _ in rhs]
+    xs = [(1, [0] * width) for _ in rhs]
     for j, s in enumerate(live):
-        x = xs[s]
-        for row, p, slot in zip(rows, pivots, slots):
-            if row[ncols + j]:
-                x[slot] = _ratio(row[ncols + j], row[p])
-    pad = [0] * len(fresh)
-    kernel = [v + pad for v in _null_vectors(rows[:n_a], pivots[:n_a], ncols)]
-    return fresh, xs, kernel
+        xs[s] = _read_off(rows, pivots, ncols + j, slots, width)
+    # the rows pivoting on adjoined columns are zero on A's, so no kernel
+    # vector needs them
+    return fresh, xs, _null_vectors(rows[:n_a], pivots[:n_a], ncols, width)

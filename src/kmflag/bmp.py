@@ -1,6 +1,10 @@
-"""The canonical indecomposable sheaf on a moment graph, built vertex by
-vertex through graded projective covers, and the cross-check of its stalk
-Poincare polynomials against inverse Kazhdan-Lusztig polynomials.
+"""Sheaves on moment graphs, with their section spaces as exact kernels;
+the canonical indecomposable sheaf, built vertex by vertex through graded
+projective covers; and the cross-check of its stalk Poincare polynomials
+against inverse Kazhdan-Lusztig polynomials.  A graph sheaf has a graded
+free module at each vertex and, on each edge, its lower stalk modulo the
+label; it stores the upper ends' restriction maps and derives the lower
+ends' canonical quotients.
 
 The construction sweeps the support {w : base <= w} in a linear extension
 of Bruhat order.  The sections over the processed prefix form a module
@@ -13,16 +17,19 @@ image of all sections in degree d.  One graded_algebra.cover_step, a
 single elimination of the older stalk generators' multiples beside those
 images, gives the new stalk generators (the pivots among the images), a
 lift of each generator to w, and the kernel K_d of the stalk onto the
-image.  Every section then extends to w, an S-multiple by the same
-multiple of its generator's lift, and the sections born at w are the
-kernel; its generators are the degree-d kernel vectors outside S_2 K_{d-2},
-found by a second cover_step in the free stalk.  A generator's vector at
-a vertex is dropped once the upper ends of all that vertex's edges are
-processed, and the generator once all its vectors are.  The image over
-the processed prefix equals the image over {y < w} because the canonical
-sheaf is flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks
-that claim: it recomputes the sections over {y < w} from scratch with
-moment_graph.sections and covers their image at every support vertex.
+image.  Each lift is an integer vector for scale times the image, scale
+the least integer that allows one; the generator's vectors are scaled by
+it before the lift joins them, which keeps its span over Q and the stalks.
+Every section then extends to w, an S-multiple by the same multiple of
+its generator's lift, and the sections born at w are the kernel; its
+generators are the degree-d kernel vectors outside S_2 K_{d-2}, found by
+a second cover_step in the free stalk.  A generator's vector at a vertex
+is dropped once the upper ends of all that vertex's edges are processed,
+and the generator once all its vectors are.  The image over the processed
+prefix equals the image over {y < w} because the canonical sheaf is
+flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks that
+claim: it recomputes the sections over {y < w} from scratch with
+sections() and covers their image at every support vertex.
 
 The stalks are the sheaf's own ModuleAmbients, filled in as the sweep
 goes, and an edge's module is its lower stalk modulo the label.
@@ -47,12 +54,118 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
-from .graded_algebra import ModuleAmbient, cover_step
+from ._linalg import kernel_basis
+from .errors import BaseNotVertex, DegreeCapExceeded, IntervalNotContained, NotInIdeal
+from .graded_algebra import CyclicPiece, ModuleAmbient, cover_step, monomial_multiples
 from .kl import KLTable, QPoly
-from .moment_graph import GraphSheaf, MomentGraph
+from .moment_graph import Edge, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
 from .weyl import WeylElement, bruhat_leq, format_word  # noqa: F401
+
+
+@dataclass
+class GraphSheaf:
+    """Graded sheaf data as the canonical construction builds it: a free
+    stalk at every vertex, given by its generator degrees, and on each edge
+    its lower stalk modulo the label.  restrictions[e] maps each generator
+    of the upper stalk to a flattened edge_ambient(e) vector in that
+    generator's degree; the lower stalk maps onto the edge by the canonical
+    quotient, which is derived."""
+
+    graph: MomentGraph
+    vertex_shifts: dict
+    restrictions: dict
+    degree_cap: int
+
+    def vertex_ambient(self, v) -> ModuleAmbient:
+        return ModuleAmbient(
+            self.graph.datum.rank, [CyclicPiece(s) for s in self.vertex_shifts[v]]
+        )
+
+    def edge_ambient(self, e: Edge) -> ModuleAmbient:
+        return ModuleAmbient(
+            self.graph.datum.rank,
+            [CyclicPiece(s, e.label) for s in self.vertex_shifts[e.lower]],
+        )
+
+    def images(self, v, e: Edge) -> list:
+        """Each generator of the stalk at the endpoint v of e, mapped to a
+        flattened edge_ambient(e) vector: the stored images at the upper
+        end, generator t to piece t's 1 at the lower end, and empty vectors
+        when the lower stalk, and so the edge module, is zero."""
+        if v not in (e.lower, e.upper):
+            raise ValueError(f"{v!r} is not an endpoint of the edge")
+        shifts = self.vertex_shifts[v]
+        if not self.vertex_shifts[e.lower]:
+            return [[] for _ in shifts]
+        if v == e.upper:
+            return self.restrictions[e]
+        amb = self.edge_ambient(e)
+        return [
+            [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
+            for t, s in enumerate(shifts)
+        ]
+
+    def restriction_matrix(self, v, e: Edge, d: int):
+        """Degree-d matrix of the restriction map as columns over the
+        flattened vertex coordinates."""
+        eamb = self.edge_ambient(e)
+        gens = zip(self.vertex_shifts[v], self.images(v, e))
+        cols = monomial_multiples(eamb, gens, d)
+        return [[col[r] for col in cols] for r in range(eamb.dim(d))]
+
+
+def constant_sheaf(graph: MomentGraph, degree_cap: int) -> GraphSheaf:
+    """The structure sheaf: S at every vertex, S/(label) on every edge,
+    canonical quotients as restrictions."""
+    shifts = {v: (0,) for v in graph.vertices}
+    return GraphSheaf(graph, shifts, {e: ([1],) for e in graph.edges}, degree_cap)
+
+
+def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> dict:
+    """Degreewise bases of the space of sections over a vertex subset.
+
+    Only edges with both endpoints inside the subset constrain the tuple.
+    Returns {degree: [section]}, a section being {vertex: flattened
+    degree-d vector of vertex_ambient(vertex)}.
+    """
+    graph = sheaf.graph
+    verts = list(graph.vertices)
+    if subset is not None:
+        subset = set(subset)
+        verts = [v for v in verts if v in subset]
+    cap = sheaf.degree_cap if max_degree is None else max_degree
+    if cap > sheaf.degree_cap:
+        raise DegreeCapExceeded(f"degree {cap} above sheaf cap {sheaf.degree_cap}")
+    vset = set(verts)
+    internal = [e for e in graph.edges if e.lower in vset and e.upper in vset]
+    ambients = {v: sheaf.vertex_ambient(v) for v in verts}
+    out: dict[int, list] = {}
+    for d in range(0, cap + 1, 2):
+        dims = [ambients[v].dim(d) for v in verts]
+        offsets = {}
+        pos = 0
+        for v, dim in zip(verts, dims):
+            offsets[v] = pos
+            pos += dim
+        width = pos
+        rows = []
+        for e in internal:
+            rx = sheaf.restriction_matrix(e.lower, e, d)
+            ry = sheaf.restriction_matrix(e.upper, e, d)
+            for row_x, row_y in zip(rx, ry):
+                row = [0] * width
+                ox, oy = offsets[e.lower], offsets[e.upper]
+                for c, val in enumerate(row_x):
+                    row[ox + c] = val
+                for c, val in enumerate(row_y):
+                    row[oy + c] -= val
+                rows.append(row)
+        out[d] = [
+            {v: vec[offsets[v] : offsets[v] + dim] for v, dim in zip(verts, dims)}
+            for vec in kernel_basis(rows, width)
+        ]
+    return out
 
 
 @dataclass
@@ -165,7 +278,10 @@ def compute_bmp(
                 where=f" at {format_word(w)}",
             )
             shifts[w] = tuple(s for s, _ in new_gens)
-            for vecs, lift in zip(cands, lifts):
+            for vecs, (scale, lift) in zip(cands, lifts):
+                if scale != 1:
+                    for v in vecs:
+                        vecs[v] = [scale * c for c in vecs[v]]
                 if any(lift):
                     vecs[w] = lift
             if kernel and pending[w]:

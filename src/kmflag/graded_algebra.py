@@ -266,8 +266,8 @@ class ModuleAmbient:
 @dataclass
 class GradedModuleRep:
     """Submodule of an ambient sum of cyclic pieces, given by homogeneous
-    generators as (degree, flattened degree-d vector) pairs; all degreewise
-    data is exact up to degree_cap."""
+    generators as (degree, flattened degree-d integer vector) pairs; all
+    degreewise data is exact up to degree_cap."""
 
     ambient: ModuleAmbient
     generators: tuple
@@ -280,6 +280,8 @@ class GradedModuleRep:
                     f"degree-{d} generator has {len(vec)} coordinates, "
                     f"expected {self.ambient.dim(d)}"
                 )
+            if not all(isinstance(x, int) for x in vec):
+                raise TypeError(f"degree-{d} generator has a non-int entry: {vec!r}")
 
 
 def monomial_multiples(amb: ModuleAmbient, gens, d: int, store=None) -> list:
@@ -324,9 +326,9 @@ def cover_step(amb: ModuleAmbient, gens: list, candidates, d: int,
     gens lists the (degree, vector) generators of M found below d, and
     lower their monomial_multiples (kept in store), which span
     (S+ M)_d = S_2 * M_{d-2}; candidates are degree-d vectors of M.
-    Returns solve_right's (fresh, xs, kernel): fresh indexes the
-    candidates that enlarge the span, the new minimal generators, which
-    are appended to gens as (d, vector); xs and kernel are over lower
+    Returns solve_right's (fresh, xs, kernel) as is: fresh indexes the
+    candidates that enlarge the span, the new generators, appended to gens
+    as (d, vector); the (scale, x) lifts and the kernel are over lower
     followed by those candidates.  With a cap, a generator within one even
     step of it means the answer cannot be trusted, and raises
     CapBoundaryGenerator; where is appended to that error's message.

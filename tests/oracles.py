@@ -28,9 +28,9 @@ where the package takes a kernel and leading minors."""
 from fractions import Fraction
 from math import gcd, lcm
 
+from kmflag.bmp import sections
 from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
 from kmflag.kl import QPoly
-from kmflag.moment_graph import sections
 from kmflag.weyl import (
     WeylElement,
     bruhat_leq,
@@ -431,9 +431,10 @@ def spoly_vector(amb, element, d: int):
     """The flat degree-d vector of an element given as one SPoly per piece
     of the ambient: over the pieces live in degree d, the coefficients of
     the piece's divide_by_linear remainder (the polynomial itself on a free
-    piece) on its reduced monomials, in the t_basis.  A piece that is dead
-    in degree d must carry zero, and a live one a polynomial of the slice's
-    degree."""
+    piece) on its reduced monomials, in the t_basis, as ints: the t_basis
+    clears the remainder's denominators, so an integral polynomial must
+    come out integral.  A piece that is dead in degree d must carry zero,
+    and a live one a polynomial of the slice's degree."""
     out = []
     for p, piece, quot in zip(element, amb.pieces, amb.quotients):
         rel = d - piece.shift
@@ -447,7 +448,8 @@ def spoly_vector(amb, element, d: int):
         index = {m: i for i, m in enumerate(quot.reduced_monomials(rel // 2))}
         block = [0] * len(index)
         for exp, c in p.terms.items():
-            block[index[exp]] = c
+            assert c.denominator == 1, "non-integral coefficient"
+            block[index[exp]] = int(c)
         out.extend(block)
     return out
 

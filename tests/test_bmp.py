@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kmflag.bmp import (
     compute_bmp,
     default_degree_cap,
+    sections,
     stalk_poincare,
     verify_against_inverse_kl,
 )
@@ -18,7 +19,7 @@ from kmflag.errors import (
     NotSymmetrizable,
 )
 from kmflag.kl import KLTable, QPoly
-from kmflag.moment_graph import build_moment_graph, sections
+from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import validate_cartan
 from kmflag.weyl import (
     bruhat_leq,
@@ -102,17 +103,36 @@ def b3_dual_graph(b3_group):
     return build_moment_graph(b3_group.datum, b3_group, dual=True)
 
 
-# every base; B3's 48 bases on each graph reach stalks of rank 3
+@pytest.fixture(scope="module")
+def hyperbolic_graph():
+    datum = validate_cartan(HYPERBOLIC3)
+    return build_moment_graph(datum, enumerate_ideal(datum, 4))
+
+
+# every base; B3's 48 bases on each graph reach stalks of rank 3.  Every
+# restriction is an int: the hyperbolic ideal from s2 and some B3 bases,
+# plain and dual, need a lift that solves only for a multiple of its
+# generator's image
 @pytest.mark.parametrize(
-    "fixture", ["a2_graph", "b2_graph", "affine_a1_graph", "b3_graph", "b3_dual_graph"]
+    "fixture",
+    ["a2_graph", "b2_graph", "affine_a1_graph", "b3_graph", "b3_dual_graph",
+     "hyperbolic_graph"],
 )
 def test_verify_against_inverse_kl_small(fixture, request):
     graph = request.getfixturevalue(fixture)
     table = KLTable(graph.ideal)
     for base in graph.vertices:
-        report = verify_against_inverse_kl(compute_bmp(graph, base), table)
+        sheaf = compute_bmp(graph, base)
+        report = verify_against_inverse_kl(sheaf, table)
         assert report.all_match, format_word(base)
         assert report.entries[0].stalk == QPoly((1,))
+        assert all(
+            type(c) is int
+            for e in graph.edges
+            for v in (e.lower, e.upper)
+            for vec in sheaf.images(v, e)
+            for c in vec
+        ), format_word(base)
 
 
 @given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
@@ -168,7 +188,7 @@ def test_order_validation(a2, a2_graph):
 
 
 def test_stalks_equal_cover_oracle(a2_graph, b2_graph, b2, b2_group, affine_a1, a3,
-                                   a3_graph, b3_graph):
+                                   a3_graph, b3_graph, hyperbolic_graph):
     small_affine = enumerate_ideal(affine_a1, 4)
     affine_graph = build_moment_graph(affine_a1, small_affine)
     b2_dual = build_moment_graph(b2, b2_group, dual=True)
@@ -177,8 +197,6 @@ def test_stalks_equal_cover_oracle(a2_graph, b2_graph, b2, b2_group, affine_a1, 
         for graph in (a2_graph, b2_graph, b2_dual, affine_graph)
         for base in graph.vertices
     ]
-    hyperbolic = validate_cartan(HYPERBOLIC3)
-    hyperbolic_graph = build_moment_graph(hyperbolic, enumerate_ideal(hyperbolic, 4))
     cases.extend((hyperbolic_graph, base) for base in hyperbolic_graph.vertices)
     # two stalks of rank 2 on A3; eight of rank 2 or more on B3
     cases.append((a3_graph, from_word(a3, [0, 2])))

@@ -417,7 +417,7 @@ FRESH = (
     ("kl --max-length 3 --format json", ("kl",)),
     ("inverse-kl --max-length 3 --format csv", ("kl",)),
     ("strata --max-length 3", ()),
-    ("moment-graph --max-length 3", ("graded_algebra", "moment_graph")),
+    ("moment-graph --max-length 3", ("moment_graph",)),
     ("bmp --max-length 3 --base 1 --verify",
      ("bmp", "graded_algebra", "kl", "moment_graph")),
     ("verify-kl --max-length 3", ("bmp", "graded_algebra", "kl", "moment_graph")),
@@ -449,6 +449,9 @@ def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
         f"kmflag.{m}" for m in ("_linalg", "errors", "root_datum", "weyl", *stages)
     }
     assert ("csv" in loaded) == ("--format csv" in args)
+    # rationals appear only in category O's weights
+    rational = command in ("characters", "multiplicities")
+    assert ("fractions" in loaded) == ("decimal" in loaded) == rational
 
 
 @pytest.mark.parametrize(

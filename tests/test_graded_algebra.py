@@ -124,6 +124,9 @@ def test_minimal_generators_contract_examples():
     # [0, 1, 0, 0] is x1 in the first piece, which lies in degree 2
     with pytest.raises(DegreeMismatch):
         GradedModuleRep(free2, ((0, [0, 1, 0, 0]),), 8)
+    # and int entries: the elimination below runs on integers only
+    with pytest.raises(TypeError, match="degree-2 generator .* Fraction"):
+        GradedModuleRep(free2, ((0, [1, 0]), (2, [0, Fraction(1, 2), 0, 0])), 8)
 
 
 def test_minimal_generators_cap_guard():

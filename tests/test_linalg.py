@@ -1,8 +1,7 @@
 """Properties of the exact elimination kernel in kmflag._linalg, and of the
 reflection test built on it."""
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +27,10 @@ from oracles import (
 )
 
 entries = st.integers(-3, 3)
-fraction_entries = st.builds(Fraction, entries, st.integers(1, 3))
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=6, elements=entries):
+def matrices(draw, max_rows=6, max_cols=6):
     """(rows, ncols) with 0..max_rows rows of 0..max_cols entries; some rows
     are copies or multiples of earlier ones, so rank deficiency is common."""
     ncols = draw(st.integers(0, max_cols))
@@ -40,14 +38,11 @@ def matrices(draw, max_rows=6, max_cols=6, elements=entries):
     rows = []
     for _ in range(nrows):
         if rows and draw(st.booleans()):
-            c = draw(elements)
+            c = draw(entries)
             rows.append([c * x for x in draw(st.sampled_from(rows))])
         else:
-            rows.append(draw(st.lists(elements, min_size=ncols, max_size=ncols)))
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
     return rows, ncols
-
-
-any_matrices = st.one_of(matrices(), matrices(elements=fraction_entries))
 
 
 def _apply(rows, vec):
@@ -76,15 +71,8 @@ def _check_kernel(rows, ncols, kernel):
     assert kernel == kernel_over_q(rows, ncols)
 
 
-def _ints_where_integral(vec):
-    """Every integral entry is an int; a non-integral one is a Fraction."""
-    return all(
-        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in vec
-    )
-
-
 @settings(max_examples=300)
-@given(any_matrices)
+@given(matrices())
 def test_kernel_basis_spans_primitive_null_space(system):
     rows, ncols = system
     _check_kernel(rows, ncols, kernel_basis(rows, ncols))
@@ -93,8 +81,9 @@ def test_kernel_basis_spans_primitive_null_space(system):
 def _check_solve_right(rows, rhs, ncols):
     """solve_right against the Q oracles, with A' the matrix A with the
     fresh b's adjoined: fresh is the oracle's pivots among the b columns,
-    every x solves A' x = b with free coordinates zero, and the kernel is
-    that of A'."""
+    every lift (scale, x) has an int vector x with A' x = scale * b and free
+    coordinates zero, scale is the least denominator of the oracle's
+    solution over Q, and the kernel is that of A'."""
     fresh, xs, kernel = solve_right(rows, rhs, ncols)
     aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     _, pivots = rref_over_q(aug, ncols + len(rhs))
@@ -102,34 +91,35 @@ def _check_solve_right(rows, rhs, ncols):
     extended = [list(r) + [rhs[s][i] for s in fresh] for i, r in enumerate(rows)]
     width = ncols + len(fresh)
     assert len(xs) == len(rhs)
-    for x, b in zip(xs, rhs):
+    for (scale, x), b, x_q in zip(xs, rhs, solve_over_q(extended, rhs, width)):
+        assert type(scale) is int and scale >= 1
         assert len(x) == width
-        assert _apply(extended, x) == b
+        assert all(type(c) is int for c in x)
+        assert _apply(extended, x) == [scale * c for c in b]
         assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
-        assert _ints_where_integral(x)
+        assert scale == lcm(*(c.denominator for c in x_q))
+        assert x == [scale * c for c in x_q]
         if not any(b):
-            assert x == [0] * width
+            assert (scale, x) == (1, [0] * width)
     _check_kernel(extended, width, kernel)
     return fresh, xs
 
 
 @settings(max_examples=300)
-@given(any_matrices, st.data())
+@given(matrices(), st.data())
 def test_solve_right_consistent(system, data):
-    # planted solutions, with zero right-hand sides mixed in: nothing is
-    # adjoined, and the solutions are the oracle's
+    # planted integer solutions, with zero right-hand sides mixed in:
+    # nothing is adjoined, so A' is A
     rows, ncols = system
     rhs = []
     for _ in range(data.draw(st.integers(0, 4))):
         if data.draw(st.booleans()):
             rhs.append([0] * len(rows))
         else:
-            x = data.draw(st.lists(st.one_of(entries, fraction_entries),
-                                   min_size=ncols, max_size=ncols))
+            x = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
             rhs.append(_apply(rows, x))
-    fresh, xs = _check_solve_right(rows, rhs, ncols)
+    fresh, _ = _check_solve_right(rows, rhs, ncols)
     assert fresh == []
-    assert xs == solve_over_q(rows, rhs, ncols)
 
 
 @settings(max_examples=300)
@@ -149,11 +139,11 @@ def test_solve_right_adjoins_inconsistent(system, data):
     b_last = (c * b[j] if j is not None else 0) + delta
     fresh, xs = _check_solve_right(rows + [last], [b + [b_last]], ncols)
     assert fresh == [0]
-    assert xs == [[0] * ncols + [1]]
+    assert xs == [(1, [0] * ncols + [1])]
 
 
 @settings(max_examples=300)
-@given(any_matrices, st.data())
+@given(matrices(), st.data())
 def test_solve_right_any_rhs(system, data):
     # arbitrary right-hand sides, copies and zeros among them
     rows, ncols = system
@@ -168,7 +158,7 @@ def test_solve_right_any_rhs(system, data):
 
 
 @settings(max_examples=300)
-@given(any_matrices)
+@given(matrices())
 def test_rowspan_rows_are_primitive_oracle_rows(system):
     rows, ncols = system
     span = RowSpan(ncols)

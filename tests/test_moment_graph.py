@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmflag.bmp import compute_bmp
+from kmflag.bmp import compute_bmp, constant_sheaf, sections
 from kmflag.errors import DegreeCapExceeded
-from kmflag.moment_graph import (
-    build_moment_graph,
-    constant_sheaf,
-    covering_relations,
-    sections,
-)
+from kmflag.moment_graph import build_moment_graph, covering_relations
 from kmflag.root_datum import validate_cartan
 from kmflag.weyl import (
     bruhat_leq,
