@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers for small dense systems.
 
 Vectors are plain lists of int.  RowSpan, an incrementally kept reduced
-row-echelon span, is the one Gauss-Jordan routine: kernel_basis and
-solve_right reduce their rows through it.  Elimination is fraction-free:
-every row operation replaces v by b*v - a*row, with a and b the two entries
-of the pivot column divided by their gcd, and then divides the result by
-the gcd of its entries.  Results are the unique scale-free answers -
-primitive reduced row-echelon rows, primitive kernel vectors - and a value
-read off the reduced rows is cleared of its denominators by the least
-scale that does so, which is returned beside it.
+row-echelon span, is the one Gauss-Jordan routine: solve_right reduces its
+rows through it, and kernel_basis is solve_right with no right-hand side.
+Elimination is fraction-free: every row operation replaces v by b*v - a*row,
+with a and b the two entries of the pivot column divided by their gcd, and
+then divides the result by the gcd of its entries.  Results are the unique
+scale-free answers - primitive reduced row-echelon rows, primitive kernel
+vectors - and a value read off the reduced rows is cleared of its
+denominators by the least scale that does so, which is returned beside it.
 """
 
 from __future__ import annotations
@@ -117,10 +117,7 @@ def _null_vectors(rows, pivots, ncols: int, width: int):
 
 def kernel_basis(rows, width: int):
     """Primitive integer basis of {v : R v = 0} for the given equation rows."""
-    span = RowSpan(width)
-    for row in rows:
-        span.add(row)
-    return _null_vectors(span.rows, span.pivots, width, width)
+    return solve_right(rows, (), width)[2]
 
 
 def solve_right(a_rows, rhs, ncols: int):

@@ -110,7 +110,7 @@ def _cmd_roots(ns):
         doc["positive_roots"] = [list(r) for r in datum.positive_roots()]
     else:
         doc["positive_real_roots"] = [
-            list(r) for r in datum.real_positive_roots(ns.depth)
+            list(r) for r in datum.real_positive_roots(ns.depth, ns.size_limit)
         ]
         doc["delta"] = list(datum.delta())
         doc["imaginary_multiplicity"] = datum.imaginary_root_multiplicity()

@@ -34,7 +34,8 @@ class QPoly:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the int it equals, so ONE == 1 and hash agree
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coefficient(0))
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -16,11 +16,14 @@ from functools import lru_cache
 from math import inf
 
 from ._linalg import kernel_basis
-from .errors import HeightBoundExceeded, NotGCM, NotSymmetrizable, UnsupportedKind
+from .errors import (
+    HeightBoundExceeded, NotGCM, NotSymmetrizable, SizeLimitExceeded, UnsupportedKind,
+)
 
 RootVector = tuple[int, ...]
 
 DEFAULT_HEIGHT_BOUND = 10_000
+DEFAULT_SIZE_LIMIT = 100_000
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -182,11 +185,12 @@ class RootDatum:
 
     # -- finite / affine auxiliaries -------------------------------------
 
-    def _real_closure(self, max_height=inf) -> list[RootVector]:
+    def _real_closure(self, max_height=inf, size_limit=inf) -> list[RootVector]:
         """Positive real roots of height <= max_height, by orbit closure from
         the simple roots.  A real positive root of height > 1 has a simple
         reflection lowering it to a real positive root, so the bound cuts no
-        root below it off."""
+        root below it off.  Raises SizeLimitExceeded once the closure holds
+        more than size_limit roots."""
         seen = {self.simple_root(i) for i in range(self.rank) if max_height >= 1}
         frontier = list(seen)
         while frontier:
@@ -201,6 +205,8 @@ class RootDatum:
                     ):
                         seen.add(gamma)
                         nxt.append(gamma)
+            if len(seen) > size_limit:
+                raise SizeLimitExceeded(f"real roots exceed size limit {size_limit}")
             frontier = nxt
         return sorted(seen, key=lambda b: (height(b), b))
 
@@ -233,13 +239,16 @@ class RootDatum:
                 return
         raise UnsupportedKind("twisted affine datum")
 
-    def real_positive_roots(self, max_height: int) -> list[RootVector]:
-        """Positive real roots of height <= max_height (finite or untwisted affine)."""
+    def real_positive_roots(
+        self, max_height: int, size_limit: int = DEFAULT_SIZE_LIMIT
+    ) -> list[RootVector]:
+        """Positive real roots of height <= max_height (finite or untwisted
+        affine), at most size_limit of them."""
         if self.kind == AFFINE:
             self._check_untwisted()
         elif self.kind != FINITE:
             raise UnsupportedKind("real roots need finite or untwisted affine kind")
-        return self._real_closure(max_height)
+        return self._real_closure(max_height, size_limit)
 
     def imaginary_root_multiplicity(self) -> int:
         """Multiplicity of k*delta in an untwisted affine algebra."""

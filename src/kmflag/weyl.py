@@ -1,13 +1,13 @@
 """Weyl group elements, Bruhat order, finite open ideals and the dot action.
 
-Elements act on simple-root coordinates as integer matrices; identity of an
-element is identity of its matrix.  The canonical reduced word of an element
-is the one produced by greedily peeling the smallest-index left descent,
-which is the lexicographically least greedy word.  The ideal path multiplies
-no two general matrices: a left step s_i w rewrites one row of the matrix
-and makes a rank-one update of the inverse, enumerate_ideal hands every
-element its canonical word as it finds it, and the lower reflections
-(beta, s_beta w) of w = s_i v are those of v moved by s_i.  A BruhatIdeal
+An element w is stored as the integer matrix of w^{-1} on simple-root
+coordinates, whose columns give the left descents.  Its canonical reduced
+word, got by greedily peeling the smallest-index left descent, gives the
+rest.  The ideal path multiplies no two general matrices: a left step s_i w
+is a rank-one update of w^{-1}, enumerate_ideal hands every element its
+canonical word as it finds it, and the lower reflections (beta, s_beta w)
+of w = s_i v are those of v moved by s_i; t = s_beta exactly when (beta, e)
+is one of them.  A BruhatIdeal
 works on the positions of its canonically sorted elements: one table of
 lower reflections gives its Bruhat order as bitsets and its simple
 neighbours s_i w, which KLTable reads in place of matrix products.
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._linalg import kernel_basis
 from .errors import (
     IntervalNotContained,
     NotInIdeal,
@@ -27,14 +26,13 @@ from .errors import (
     UnsupportedKind,
 )
 from .root_datum import (
+    DEFAULT_SIZE_LIMIT,
     FINITE,
     RootDatum,
     RootVector,
     is_negative_vector,
     is_positive_vector,
 )
-
-DEFAULT_SIZE_LIMIT = 100_000
 
 
 def _matmul(a, b):
@@ -56,17 +54,14 @@ def _same_datum(a: RootDatum, b: RootDatum) -> bool:
 
 
 class WeylElement:
-    """Group element as a matrix acting on simple-root coordinates.
-
-    Carries its inverse matrix so descent tests never trigger a matrix
-    inversion; length and the canonical reduced word are computed lazily.
+    """Group element w, stored as the matrix of w^{-1} on simple-root
+    coordinates; length and the canonical reduced word are computed lazily.
     """
 
-    __slots__ = ("datum", "matrix", "inv_matrix", "_length", "_word")
+    __slots__ = ("datum", "inv_matrix", "_length", "_word")
 
-    def __init__(self, datum: RootDatum, matrix, inv_matrix):
+    def __init__(self, datum: RootDatum, inv_matrix):
         self.datum = datum
-        self.matrix = matrix
         self.inv_matrix = inv_matrix
         self._length = None
         self._word = None
@@ -75,39 +70,38 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and _same_datum(self.datum, other.datum)
-            and self.matrix == other.matrix
+            and self.inv_matrix == other.inv_matrix
         )
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.inv_matrix)
 
     def __repr__(self):
         return f"WeylElement({format_word(self)})"
 
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.datum.rank)
+        return self.inv_matrix == _identity_matrix(self.datum.rank)
 
     def apply(self, beta) -> tuple:
-        m = self.matrix
-        n = self.datum.rank
-        return tuple(sum(m[i][j] * beta[j] for j in range(n)) for i in range(n))
+        """w(beta), one simple reflection per letter of the canonical word."""
+        beta = tuple(beta)
+        for i in reversed(self.reduced_word()):
+            beta = self.datum.reflect_simple(i, beta)
+        return beta
 
     def apply_inverse(self, beta) -> tuple:
         m = self.inv_matrix
         n = self.datum.rank
         return tuple(sum(m[i][j] * beta[j] for j in range(n)) for i in range(n))
 
-    def _image_of_simple(self, i: int, inverse: bool = False) -> RootVector:
-        m = self.inv_matrix if inverse else self.matrix
-        return tuple(row[i] for row in m)
+    def _column(self, i: int) -> RootVector:
+        """w^{-1}(alpha_i)."""
+        return tuple(row[i] for row in self.inv_matrix)
 
     def left_descents(self) -> list[int]:
         """Indices i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative."""
-        return [
-            i
-            for i in range(self.datum.rank)
-            if is_negative_vector(self._image_of_simple(i, inverse=True))
-        ]
+        n = self.datum.rank
+        return [i for i in range(n) if is_negative_vector(self._column(i))]
 
     def _compute_word(self):
         word = []
@@ -137,9 +131,9 @@ class WeylElement:
         return (self.length(), self.reduced_word())
 
 
+# identity, simple_reflection and reflection: each matrix is its own inverse
 def identity(datum: RootDatum) -> WeylElement:
-    m = _identity_matrix(datum.rank)
-    return WeylElement(datum, m, m)
+    return WeylElement(datum, _identity_matrix(datum.rank))
 
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
@@ -149,36 +143,28 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
         tuple((1 if r == c else 0) - (a[i][c] if r == i else 0) for c in range(n))
         for r in range(n)
     )
-    return WeylElement(datum, m, m)
+    return WeylElement(datum, m)
 
 
 def _left_step(w: WeylElement, i: int) -> WeylElement:
-    """s_i w in O(n^2): s_i rewrites row i of the matrix, and the inverse
-    w^{-1} s_i is w^{-1} minus its column i times row i of the Cartan
-    matrix."""
+    """s_i w in O(n^2): its inverse w^{-1} s_i is w^{-1} minus its column i
+    times row i of the Cartan matrix."""
     a = w.datum.cartan[i]
-    m = w.matrix
-    row = list(m[i])
-    for k, c in enumerate(a):
-        if c:
-            row = [x - c * y for x, y in zip(row, m[k])]
     inv = tuple(
-        tuple(x - r[i] * c for x, c in zip(r, a)) if r[i] else r
-        for r in w.inv_matrix
+        tuple(x - r[i] * c for x, c in zip(r, a)) if r[i] else r for r in w.inv_matrix
     )
-    return WeylElement(w.datum, m[:i] + (tuple(row),) + m[i + 1 :], inv)
+    return WeylElement(w.datum, inv)
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
+    """uv, as the product (uv)^{-1} = v^{-1} u^{-1}."""
     if not _same_datum(u.datum, v.datum):
         raise ValueError("elements belong to different root data")
-    return WeylElement(
-        u.datum, _matmul(u.matrix, v.matrix), _matmul(v.inv_matrix, u.inv_matrix)
-    )
+    return WeylElement(u.datum, _matmul(v.inv_matrix, u.inv_matrix))
 
 
 def inverse(u: WeylElement) -> WeylElement:
-    return WeylElement(u.datum, u.inv_matrix, u.matrix)
+    return from_word(u.datum, u.reduced_word()[::-1])
 
 
 def from_word(datum: RootDatum, word) -> WeylElement:
@@ -217,20 +203,20 @@ def parse_word(datum: RootDatum, text: str) -> WeylElement:
 
 
 def bruhat_leq(y: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order test by the right-to-left scan over w's canonical word.
+    """Bruhat order test by the left-to-right scan over w's canonical word.
 
-    Peeling the rightmost letter s of w, the lifting property gives
-    y <= w  iff  min(y, ys) <= ws; iterating down to the identity leaves
-    exactly the identity when y <= w.
+    Peeling the leftmost letter s of w, a left descent of w, the lifting
+    property gives y <= w  iff  min(y, sy) <= sw; iterating down to the
+    identity leaves exactly the identity when y <= w.
     """
     if not _same_datum(y.datum, w.datum):
         raise ValueError("elements belong to different root data")
     if y.length() > w.length():
         return False
     v = y
-    for i in reversed(w.reduced_word()):
-        if is_negative_vector(v._image_of_simple(i)):
-            v = multiply(v, simple_reflection(v.datum, i))
+    for i in w.reduced_word():
+        if is_negative_vector(v._column(i)):
+            v = multiply(simple_reflection(v.datum, i), v)
     return v.is_identity()
 
 
@@ -242,39 +228,22 @@ def reflection(datum: RootDatum, beta) -> WeylElement:
         raise NotRealRoot(f"{beta} is not a real root")
     # <alpha_j, beta^vee> = sum_i c_i a_ij for beta^vee = sum_i c_i alpha_i^vee
     coroot = datum.coroot_coords(beta)
-    n = datum.rank
-    cols = []
-    for j in range(n):
-        pairing = sum(c * datum.cartan[i][j] for i, c in enumerate(coroot))
-        cols.append(tuple((1 if r == j else 0) - pairing * beta[r] for r in range(n)))
-    m = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-    return WeylElement(datum, m, m)
+    pairings = [
+        sum(c * row[j] for c, row in zip(coroot, datum.cartan))
+        for j in range(datum.rank)
+    ]
+    m = tuple(
+        tuple((1 if r == j else 0) - p * b for j, p in enumerate(pairings))
+        for r, b in enumerate(beta)
+    )
+    return WeylElement(datum, m)
 
 
 def is_reflection(t: WeylElement) -> RootVector | None:
-    """The positive real root beta with t = s_beta, or None.
-
-    beta is recovered as a primitive integer spanning vector of the
-    (-1)-eigenspace; the candidate is then verified against the
-    reflection formula.
-    """
-    n = t.datum.rank
-    if t.is_identity() or _matmul(t.matrix, t.matrix) != _identity_matrix(n):
-        return None
-    kernel = kernel_basis(
-        [[t.matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)],
-        n,
-    )
-    if len(kernel) != 1:
-        return None
-    beta = tuple(kernel[0])
-    if not is_positive_vector(beta):
-        return None
-    if not t.datum.is_real_root(beta):
-        return None
-    if reflection(t.datum, beta) != t:
-        return None
-    return beta
+    """The positive real root beta with t = s_beta, or None: t = s_beta
+    exactly when (beta, e) is a lower pair of t (Bjorner-Brenti, GTM 231,
+    ch. 1-2)."""
+    return next((beta for beta, y in _lower_pairs(t, {}) if y.is_identity()), None)
 
 
 # -- finite open ideals ---------------------------------------------------
@@ -443,7 +412,7 @@ def enumerate_ideal(
     while frontier and length < max_length:
         nxt = []
         for w in frontier:
-            cols = [w._image_of_simple(j, inverse=True) for j in range(n)]
+            cols = [w._column(j) for j in range(n)]
             for i, col in enumerate(cols):
                 if not is_positive_vector(col):
                     continue

@@ -296,21 +296,21 @@ class KLOracle:
 
 def is_linear_reflection(t) -> bool:
     """Involution fixing a hyperplane: rank(M - I) == 1 over the rationals.
-    Deliberately avoids the package's root-based reflection test."""
+    Deliberately avoids the package's root-based reflection test.  M is the
+    stored matrix of t^{-1}: an involution equals its inverse, and
+    rank(t^{-1} - I) = rank(t - I)."""
     n = t.datum.rank
+    m = t.inv_matrix
     if t.is_identity():
         return False
     mm = [
-        [
-            sum(t.matrix[i][k] * t.matrix[k][j] for k in range(n))
-            for j in range(n)
-        ]
+        [sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     if mm != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
         return False
     rows = [
-        [Fraction(t.matrix[i][j] - (1 if i == j else 0)) for j in range(n)]
+        [Fraction(m[i][j] - (1 if i == j else 0)) for j in range(n)]
         for i in range(n)
     ]
     rank = 0
@@ -527,7 +527,7 @@ def solve_over_q(a_rows, rhs, ncols: int):
 def word_oracle(w):
     """The canonical word of w by peeling its least left descent with one
     matrix product per letter, on a copy that carries no cached word."""
-    v = WeylElement(w.datum, w.matrix, w.inv_matrix)
+    v = WeylElement(w.datum, w.inv_matrix)
     word = []
     while descents := v.left_descents():
         i = descents[0]
@@ -539,12 +539,17 @@ def word_oracle(w):
 
 def inversion_set_oracle(w):
     """{s_{i_1} ... s_{i_{k-1}} alpha_{i_k}} over the prefixes of w's word,
-    one matrix product per prefix."""
-    prefix = identity(w.datum)
+    one product of forward matrices per prefix: the column i_k of the
+    prefix's matrix is its image of alpha_{i_k}."""
+    n = w.datum.rank
+    prefix = identity(w.datum).inv_matrix
     out = set()
     for i in word_oracle(w):
-        out.add(prefix.apply(w.datum.simple_root(i)))
-        prefix = multiply(prefix, simple_reflection(w.datum, i))
+        out.add(tuple(row[i] for row in prefix))
+        s = simple_reflection(w.datum, i).inv_matrix  # an involution
+        prefix = [
+            [sum(r[k] * s[k][c] for k in range(n)) for c in range(n)] for r in prefix
+        ]
     return out
 
 

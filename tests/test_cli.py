@@ -274,6 +274,18 @@ def test_size_limit_env_var(affine_file, monkeypatch):
     assert status == 3
 
 
+def test_roots_depth_over_size_limit(tmp_path):
+    # affine A2 has about two positive real roots per unit of height, so
+    # depth 20 holds more than 10 of them
+    path = tmp_path / "affine_a2.json"
+    path.write_text(json.dumps({"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}))
+    args = ("roots", "--cartan", str(path), "--depth", "20")
+    status, doc = run_cli(*args, "--size-limit", "10")
+    assert status == 3
+    assert json.loads(doc)["error_code"] == "SizeLimitExceeded"
+    assert run_cli(*args)[0] == 0
+
+
 def test_unknown_flag_rejected(a2_file):
     status, doc = run_cli("kl", "--cartan", a2_file, "--max-length", "2", "--depth", "3")
     assert status == 1

@@ -38,6 +38,9 @@ def test_qpoly_arithmetic():
     assert QPoly((1, 0, 3)).text() == "1+3q^2"
     assert QPoly().text() == "0"
     assert QPoly((0, -1, 1)).text() == "-q+q^2"
+    # a constant hashes as the int it equals
+    assert 1 in {QPoly((1,))} and QPoly((1,)) in {1}
+    assert 0 in {QPoly()} and hash(QPoly((-3,))) == hash(-3)
 
 
 def test_diagonal_and_triangularity(a2_group, a2_table):

@@ -177,8 +177,9 @@ def test_rowspan_rows_are_primitive_oracle_rows(system):
         ([[2, -1], [-2, 2]], None),
         ([[2, -2], [-2, 2]], 4),
         ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 3),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], None),
     ],
-    ids=["b2", "affine_a1", "hyperbolic"],
+    ids=["b2", "affine_a1", "hyperbolic", "a3"],
 )
 def test_is_reflection_matches_linear_oracle(cartan, bound):
     datum = validate_cartan(cartan)

@@ -53,10 +53,19 @@ def test_braid_relation(a2):
 def test_from_word_matches_matrix_products(pairs, word):
     datum = rank3_datum(pairs)
     product = identity(datum)
+    forward = [[int(r == c) for c in range(3)] for r in range(3)]
     for i in word:
         product = multiply(product, simple_reflection(datum, i))
+        # right multiplication by s_i on the forward matrix of w
+        s = simple_reflection(datum, i).inv_matrix
+        forward = [
+            [sum(row[k] * s[k][c] for k in range(3)) for c in range(3)] for row in forward
+        ]
     w = from_word(datum, word)
-    assert (w.matrix, w.inv_matrix) == (product.matrix, product.inv_matrix)
+    assert w.inv_matrix == product.inv_matrix
+    for j in range(3):
+        assert w.apply(datum.simple_root(j)) == tuple(row[j] for row in forward)
+    assert multiply(w, inverse(w)).is_identity()
 
 
 def test_apply_reflection_formula(a2):
