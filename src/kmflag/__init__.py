@@ -10,15 +10,14 @@ import importlib
 
 #: submodule -> the public names it defines
 _PUBLIC = {
-    "bmp": ("BMPSheaf", "GraphSheaf", "compute_bmp", "constant_sheaf",
-            "default_degree_cap", "sections", "stalk_poincare",
-            "verify_against_inverse_kl"),
+    "bmp": ("BMPSheaf", "GraphSheaf", "compute_bmp", "default_degree_cap",
+            "stalk_poincare", "verify_against_inverse_kl"),
     "category_o": ("BlockSpec", "CharacterSeries", "SheafTable", "antidominant_block",
                    "classify_weight", "irreducible_character", "jh_multiplicity",
                    "kostant_partition", "projective_verma_multiplicity",
                    "verma_character"),
     "graded_algebra": ("CyclicPiece", "GradedModuleRep", "ModuleAmbient",
-                       "degree_basis", "minimal_generators"),
+                       "minimal_generators"),
     "kl": ("KLTable", "QPoly"),
     "moment_graph": ("Edge", "MomentGraph", "build_moment_graph", "covering_relations"),
     "root_datum": ("RootDatum", "validate_cartan"),

@@ -1,10 +1,10 @@
-"""Sheaves on moment graphs, with their section spaces as exact kernels;
-the canonical indecomposable sheaf, built vertex by vertex through graded
-projective covers; and the cross-check of its stalk Poincare polynomials
-against inverse Kazhdan-Lusztig polynomials.  A graph sheaf has a graded
-free module at each vertex and, on each edge, its lower stalk modulo the
-label; it stores the upper ends' restriction maps and derives the lower
-ends' canonical quotients.
+"""Sheaves on moment graphs: the canonical indecomposable sheaf, built
+vertex by vertex through graded projective covers, and the cross-check of
+its stalk Poincare polynomials against inverse Kazhdan-Lusztig
+polynomials.  A graph sheaf has a graded free module at each vertex and,
+on each edge, its lower stalk modulo the label; it stores the upper ends'
+restriction maps, and the lower ends map by the canonical quotient,
+ModuleAmbient.reduce_free.
 
 The construction sweeps the support {w : base <= w} in a linear extension
 of Bruhat order.  The sections over the processed prefix form a module
@@ -28,15 +28,18 @@ is dropped once the upper ends of all that vertex's edges are processed,
 and the generator once all its vectors are.  The image over the processed
 prefix equals the image over {y < w} because the canonical sheaf is
 flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks that
-claim: it recomputes the sections over {y < w} from scratch with
-sections() and covers their image at every support vertex.
+claim: it recomputes the sections over {y < w} from scratch, as the
+kernel of the edge equations, and covers their image at every support
+vertex.
 
 The stalks are the sheaf's own ModuleAmbients, filled in as the sweep
 goes, and an edge's module is its lower stalk modulo the label.
 ModuleAmbient.reduce_free pushes a stalk component into an edge module, and
-the boundary module at w is the sum over every edge into w; an edge from
-off the support has a zero lower stalk and adds nothing.  A new generator's
-restrictions are the slices of its boundary row.
+the boundary module at w is the sum over the edges into w, read off the
+graph's incidence table; an edge from off the support has a zero lower
+stalk and adds nothing.  A new generator's restrictions are the slices of
+its boundary row.  The sweep keys its per-vertex data (the generators'
+vectors and the count of unprocessed upper edges) by ideal position.
 
 The sweep stops at an even degree cap, by default L + 4 rounded up to
 even, where L = max length - l(base).  A stalk generator of degree d stands
@@ -51,12 +54,10 @@ cap is legitimate.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from ._linalg import kernel_basis
-from .errors import BaseNotVertex, DegreeCapExceeded, IntervalNotContained, NotInIdeal
-from .graded_algebra import CyclicPiece, ModuleAmbient, cover_step, monomial_multiples
+from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
+from .graded_algebra import CyclicPiece, ModuleAmbient, cover_step
 from .kl import KLTable, QPoly
 from .moment_graph import Edge, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
@@ -70,7 +71,7 @@ class GraphSheaf:
     its lower stalk modulo the label.  restrictions[e] maps each generator
     of the upper stalk to a flattened edge_ambient(e) vector in that
     generator's degree; the lower stalk maps onto the edge by the canonical
-    quotient, which is derived."""
+    quotient, which is not stored."""
 
     graph: MomentGraph
     vertex_shifts: dict
@@ -87,85 +88,6 @@ class GraphSheaf:
             self.graph.datum.rank,
             [CyclicPiece(s, e.label) for s in self.vertex_shifts[e.lower]],
         )
-
-    def images(self, v, e: Edge) -> list:
-        """Each generator of the stalk at the endpoint v of e, mapped to a
-        flattened edge_ambient(e) vector: the stored images at the upper
-        end, generator t to piece t's 1 at the lower end, and empty vectors
-        when the lower stalk, and so the edge module, is zero."""
-        if v not in (e.lower, e.upper):
-            raise ValueError(f"{v!r} is not an endpoint of the edge")
-        shifts = self.vertex_shifts[v]
-        if not self.vertex_shifts[e.lower]:
-            return [[] for _ in shifts]
-        if v == e.upper:
-            return self.restrictions[e]
-        amb = self.edge_ambient(e)
-        return [
-            [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
-            for t, s in enumerate(shifts)
-        ]
-
-    def restriction_matrix(self, v, e: Edge, d: int):
-        """Degree-d matrix of the restriction map as columns over the
-        flattened vertex coordinates."""
-        eamb = self.edge_ambient(e)
-        gens = zip(self.vertex_shifts[v], self.images(v, e))
-        cols = monomial_multiples(eamb, gens, d)
-        return [[col[r] for col in cols] for r in range(eamb.dim(d))]
-
-
-def constant_sheaf(graph: MomentGraph, degree_cap: int) -> GraphSheaf:
-    """The structure sheaf: S at every vertex, S/(label) on every edge,
-    canonical quotients as restrictions."""
-    shifts = {v: (0,) for v in graph.vertices}
-    return GraphSheaf(graph, shifts, {e: ([1],) for e in graph.edges}, degree_cap)
-
-
-def sections(sheaf: GraphSheaf, subset=None, max_degree: int | None = None) -> dict:
-    """Degreewise bases of the space of sections over a vertex subset.
-
-    Only edges with both endpoints inside the subset constrain the tuple.
-    Returns {degree: [section]}, a section being {vertex: flattened
-    degree-d vector of vertex_ambient(vertex)}.
-    """
-    graph = sheaf.graph
-    verts = list(graph.vertices)
-    if subset is not None:
-        subset = set(subset)
-        verts = [v for v in verts if v in subset]
-    cap = sheaf.degree_cap if max_degree is None else max_degree
-    if cap > sheaf.degree_cap:
-        raise DegreeCapExceeded(f"degree {cap} above sheaf cap {sheaf.degree_cap}")
-    vset = set(verts)
-    internal = [e for e in graph.edges if e.lower in vset and e.upper in vset]
-    ambients = {v: sheaf.vertex_ambient(v) for v in verts}
-    out: dict[int, list] = {}
-    for d in range(0, cap + 1, 2):
-        dims = [ambients[v].dim(d) for v in verts]
-        offsets = {}
-        pos = 0
-        for v, dim in zip(verts, dims):
-            offsets[v] = pos
-            pos += dim
-        width = pos
-        rows = []
-        for e in internal:
-            rx = sheaf.restriction_matrix(e.lower, e, d)
-            ry = sheaf.restriction_matrix(e.upper, e, d)
-            for row_x, row_y in zip(rx, ry):
-                row = [0] * width
-                ox, oy = offsets[e.lower], offsets[e.upper]
-                for c, val in enumerate(row_x):
-                    row[ox + c] = val
-                for c, val in enumerate(row_y):
-                    row[oy + c] -= val
-                rows.append(row)
-        out[d] = [
-            {v: vec[offsets[v] : offsets[v] + dim] for v, dim in zip(verts, dims)}
-            for vec in kernel_basis(rows, width)
-        ]
-    return out
 
 
 @dataclass
@@ -237,16 +159,20 @@ def compute_bmp(
 
     sheaf = BMPSheaf(graph, {v: () for v in graph.vertices}, {}, cap, base)
     shifts, restrictions = sheaf.vertex_shifts, sheaf.restrictions
+    position = graph.ideal.position
     # S-module generators of the sections over the processed prefix: a
-    # degree and {vertex: stalk vector}; a missing vertex means zero.  A
-    # vector is dropped once the upper ends of all its vertex's edges are
-    # processed, and a generator once all its vectors are.
-    gens = [(0, {base: [1]})]
-    pending = Counter(e.lower for e in graph.edges)
+    # degree and {vertex position: stalk vector}; a missing vertex means
+    # zero.  A vector is dropped once the upper ends of all its vertex's
+    # edges are processed (pending reaches 0), and a generator once all its
+    # vectors are.
+    gens = [(0, {position(base): [1]})]
+    pending = [len(up) for up in graph.out_edges]
     shifts[base] = (0,)
 
     for w in support[1:]:
-        d_edges = [e for e in graph.edges if e.upper == w]
+        k = position(w)
+        d_edges = graph.in_edges[k]
+        lows = [position(e.lower) for e in d_edges]
         edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
         boundary = ModuleAmbient(
             graph.datum.rank, [p for amb in edge_ambs for p in amb.pieces]
@@ -264,8 +190,8 @@ def compute_bmp(
             rows = []
             for vecs in cands:
                 row = []
-                for e, amb in zip(d_edges, edge_ambs):
-                    vec = vecs.get(e.lower)
+                for j, amb in zip(lows, edge_ambs):
+                    vec = vecs.get(j)
                     row.extend(amb.reduce_free(vec, d) if vec else [0] * amb.dim(d))
                 rows.append(row)
 
@@ -280,32 +206,33 @@ def compute_bmp(
             shifts[w] = tuple(s for s, _ in new_gens)
             for vecs, (scale, lift) in zip(cands, lifts):
                 if scale != 1:
-                    for v in vecs:
-                        vecs[v] = [scale * c for c in vecs[v]]
+                    for j in vecs:
+                        vecs[j] = [scale * c for c in vecs[j]]
                 if any(lift):
-                    vecs[w] = lift
-            if kernel and pending[w]:
+                    vecs[k] = lift
+            if kernel and pending[k]:
                 # sections born at w, needed only if w has upper edges: the
                 # kernel vectors outside S_2 K_{d-2}
                 born, _, _ = cover_step(
                     sheaf.vertex_ambient(w), kernel_gens, kernel, d, store=kernel_store
                 )
-                gens.extend((d, {w: kernel[i]}) for i in born)
+                gens.extend((d, {k: kernel[i]}) for i in born)
 
         # a new generator restricts to e by its boundary row's slice on e
-        restrictions.update((e, []) for e in d_edges)
+        images = [[] for _ in d_edges]
         for d, vec in new_gens:
             start = 0
-            for e, amb in zip(d_edges, edge_ambs):
-                restrictions[e].append(vec[start : start + amb.dim(d)])
+            for image, amb in zip(images, edge_ambs):
+                image.append(vec[start : start + amb.dim(d)])
                 start += amb.dim(d)
+        restrictions.update(zip(d_edges, images))
 
-        for e in d_edges:
-            pending[e.lower] -= 1
-        done = [v for v in (w, *(e.lower for e in d_edges)) if not pending[v]]
+        for j in lows:
+            pending[j] -= 1
+        done = [j for j in (k, *lows) if not pending[j]]
         for _, vecs in gens:
-            for v in done:
-                vecs.pop(v, None)
+            for j in done:
+                vecs.pop(j, None)
         gens = [g for g in gens if g[1]]
 
     return sheaf

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._linalg import RowSpan, solve_right
-from .errors import CapBoundaryGenerator, DegreeCapExceeded, DegreeMismatch
+from ._linalg import solve_right
+from .errors import CapBoundaryGenerator, DegreeMismatch
 
 
 # -- monomial machinery ----------------------------------------------------
@@ -342,17 +342,6 @@ def cover_step(amb: ModuleAmbient, gens: list, candidates, d: int,
         )
     gens.extend((d, candidates[i]) for i in fresh)
     return fresh, xs, kernel
-
-
-def degree_basis(module: GradedModuleRep, d: int):
-    """Basis of the degree-d slice of the generated submodule, as
-    flattened rows."""
-    if d > module.degree_cap:
-        raise DegreeCapExceeded(f"degree {d} above cap {module.degree_cap}")
-    span = RowSpan(module.ambient.dim(d))
-    for col in monomial_multiples(module.ambient, module.generators, d):
-        span.add(col)
-    return span.rows
 
 
 def minimal_generators(module: GradedModuleRep):

@@ -10,7 +10,7 @@ opposite.  Sheaves on these graphs live in bmp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .root_datum import RootDatum, RootVector
 from .weyl import BruhatIdeal, WeylElement
@@ -27,17 +27,20 @@ class Edge:
 
 @dataclass(frozen=True)
 class MomentGraph:
+    """The graph with its incidence table: in_edges[k] and out_edges[k] are
+    the edges whose upper, resp. lower, end is the vertex at ideal position
+    k, each in `edges` order."""
+
     datum: RootDatum
     ideal: BruhatIdeal
     edges: tuple[Edge, ...]
     dual_flag: bool
+    in_edges: tuple[tuple[Edge, ...], ...] = field(repr=False, compare=False)
+    out_edges: tuple[tuple[Edge, ...], ...] = field(repr=False, compare=False)
 
     @property
     def vertices(self) -> tuple[WeylElement, ...]:
         return self.ideal.elements
-
-    def edges_at(self, v: WeylElement) -> list[Edge]:
-        return [e for e in self.edges if v in (e.lower, e.upper)]
 
 
 def build_moment_graph(
@@ -58,7 +61,15 @@ def build_moment_graph(
             mapped.append(Edge(e.lower, e.upper, covec))
         edges = mapped
     edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
-    return MomentGraph(datum, ideal, tuple(edges), dual)
+    ins = [[] for _ in ideal.elements]
+    outs = [[] for _ in ideal.elements]
+    for e in edges:
+        ins[ideal.position(e.upper)].append(e)
+        outs[ideal.position(e.lower)].append(e)
+    return MomentGraph(
+        datum, ideal, tuple(edges), dual,
+        tuple(map(tuple, ins)), tuple(map(tuple, outs)),
+    )
 
 
 def covering_relations(ideal: BruhatIdeal) -> list[tuple[WeylElement, WeylElement]]:

@@ -319,10 +319,6 @@ class BruhatIdeal:
             raise NotInIdeal(f"element {format_word(w)} not in the ideal")
         return self._pos[w]
 
-    def require(self, *ws):
-        for w in ws:
-            self.position(w)
-
     @cached_property
     def _pairs(self) -> tuple[tuple, ...]:
         """Every lower pair of every element, inside the set or not.  The
@@ -485,7 +481,7 @@ def stratum_dimension(x: WeylElement, ideal: BruhatIdeal) -> int:
     Both descriptions are computed and must agree:
     |{alpha in complement : x^{-1}(alpha) > 0}|  ==  |complement| - l(x).
     """
-    ideal.require(x)
+    ideal.position(x)  # raises NotInIdeal for an element outside the ideal
     comp = sj_complement(ideal)
     direct = sum(1 for alpha in comp if is_positive_vector(x.apply_inverse(alpha)))
     counted = len(comp) - x.length()

@@ -13,12 +13,17 @@ multiplication by a variable.  spoly_vector turns an SPoly tuple into the
 package's flat element format through divide_by_linear remainders,
 rescaled by t_basis to the package's monomials in t_i = x_i/|c|, so the
 tests build modules and expected products and reductions without the
-package's normal forms.  The BMP oracle
-recomputes sections from scratch at every vertex instead of carrying them
-incrementally; its restriction matrices multiply through
-ModuleAmbient.mul_var_vec as compute_bmp does, so that multiplication is
-checked on its own against spoly_vector of SPoly products
-(test_graded_algebra's test_monomial_multiples_match_spoly_products).  The
+package's normal forms.  The graph-sheaf oracles live here because only
+the tests use them: constant_sheaf, the endpoint maps of an edge (images,
+restriction_matrix), sections over a vertex subset as the kernel of the
+edge equations, and degree_basis, a degree slice of a graded module.  The
+BMP oracle bmp_cover_degrees recomputes sections from scratch at every
+vertex instead of carrying them incrementally, and finds the edges into a
+vertex by a full scan of graph.edges, not by the graph's incidence table;
+its restriction matrices multiply through ModuleAmbient.mul_var_vec as
+compute_bmp does, so that multiplication is checked on its own against
+spoly_vector of SPoly products (test_graded_algebra's
+test_monomial_multiples_match_spoly_products).  The
 linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
 where the package eliminates fraction-free.  The root-datum oracles find
 the symmetrizer by propagating ratios along a spanning forest of the Dynkin
@@ -28,8 +33,15 @@ where the package takes a kernel and leading minors."""
 from fractions import Fraction
 from math import gcd, lcm
 
-from kmflag.bmp import sections
-from kmflag.graded_algebra import GradedModuleRep, ModuleAmbient, minimal_generators
+from kmflag._linalg import RowSpan, kernel_basis
+from kmflag.bmp import GraphSheaf
+from kmflag.errors import DegreeCapExceeded
+from kmflag.graded_algebra import (
+    GradedModuleRep,
+    ModuleAmbient,
+    minimal_generators,
+    monomial_multiples,
+)
 from kmflag.kl import QPoly
 from kmflag.weyl import (
     WeylElement,
@@ -391,6 +403,99 @@ def brute_kostant(datum, beta, positive_roots_with_mult) -> int:
     return count
 
 
+def constant_sheaf(graph, degree_cap: int) -> GraphSheaf:
+    """The structure sheaf: S at every vertex, S/(label) on every edge,
+    canonical quotients as restrictions."""
+    shifts = {v: (0,) for v in graph.vertices}
+    return GraphSheaf(graph, shifts, {e: ([1],) for e in graph.edges}, degree_cap)
+
+
+def images(sheaf, v, e) -> list:
+    """Each generator of the stalk at the endpoint v of e, mapped to a
+    flattened sheaf.edge_ambient(e) vector: the stored images at the upper
+    end, generator t to piece t's 1 at the lower end, and empty vectors
+    when the lower stalk, and so the edge module, is zero."""
+    if v not in (e.lower, e.upper):
+        raise ValueError(f"{v!r} is not an endpoint of the edge")
+    shifts = sheaf.vertex_shifts[v]
+    if not sheaf.vertex_shifts[e.lower]:
+        return [[] for _ in shifts]
+    if v == e.upper:
+        return sheaf.restrictions[e]
+    amb = sheaf.edge_ambient(e)
+    return [
+        [1 if i == sum(amb.dims(s)[:t]) else 0 for i in range(amb.dim(s))]
+        for t, s in enumerate(shifts)
+    ]
+
+
+def restriction_matrix(sheaf, v, e, d: int):
+    """Degree-d matrix of the restriction map at the endpoint v of e, as
+    columns over the flattened vertex coordinates."""
+    eamb = sheaf.edge_ambient(e)
+    gens = zip(sheaf.vertex_shifts[v], images(sheaf, v, e))
+    cols = monomial_multiples(eamb, gens, d)
+    return [[col[r] for col in cols] for r in range(eamb.dim(d))]
+
+
+def sections(sheaf, subset=None, max_degree: int | None = None) -> dict:
+    """Degreewise bases of the space of sections over a vertex subset, the
+    kernel of the edge equations.
+
+    Only edges with both endpoints inside the subset constrain the tuple.
+    Returns {degree: [section]}, a section being {vertex: flattened
+    degree-d vector of vertex_ambient(vertex)}.
+    """
+    graph = sheaf.graph
+    verts = list(graph.vertices)
+    if subset is not None:
+        subset = set(subset)
+        verts = [v for v in verts if v in subset]
+    cap = sheaf.degree_cap if max_degree is None else max_degree
+    if cap > sheaf.degree_cap:
+        raise DegreeCapExceeded(f"degree {cap} above sheaf cap {sheaf.degree_cap}")
+    vset = set(verts)
+    internal = [e for e in graph.edges if e.lower in vset and e.upper in vset]
+    ambients = {v: sheaf.vertex_ambient(v) for v in verts}
+    out: dict[int, list] = {}
+    for d in range(0, cap + 1, 2):
+        dims = [ambients[v].dim(d) for v in verts]
+        offsets = {}
+        pos = 0
+        for v, dim in zip(verts, dims):
+            offsets[v] = pos
+            pos += dim
+        width = pos
+        rows = []
+        for e in internal:
+            rx = restriction_matrix(sheaf, e.lower, e, d)
+            ry = restriction_matrix(sheaf, e.upper, e, d)
+            for row_x, row_y in zip(rx, ry):
+                row = [0] * width
+                ox, oy = offsets[e.lower], offsets[e.upper]
+                for c, val in enumerate(row_x):
+                    row[ox + c] = val
+                for c, val in enumerate(row_y):
+                    row[oy + c] -= val
+                rows.append(row)
+        out[d] = [
+            {v: vec[offsets[v] : offsets[v] + dim] for v, dim in zip(verts, dims)}
+            for vec in kernel_basis(rows, width)
+        ]
+    return out
+
+
+def degree_basis(module, d: int):
+    """Basis of the degree-d slice of a GradedModuleRep's generated
+    submodule, as flattened rows."""
+    if d > module.degree_cap:
+        raise DegreeCapExceeded(f"degree {d} above cap {module.degree_cap}")
+    span = RowSpan(module.ambient.dim(d))
+    for col in monomial_multiples(module.ambient, module.generators, d):
+        span.add(col)
+    return span.rows
+
+
 def bmp_cover_degrees(sheaf) -> dict:
     """Stalk degrees that the defining cover condition of the canonical
     sheaf (Braden-MacPherson 2001; Fiebig, Adv. Math. 2008) demands of a
@@ -417,7 +522,7 @@ def bmp_cover_degrees(sheaf) -> dict:
         boundary = ModuleAmbient(graph.datum.rank, pieces)
         images = []
         for d, secs in sections(sheaf, subset=below, max_degree=cap).items():
-            maps = [(e.lower, sheaf.restriction_matrix(e.lower, e, d)) for e in up_edges]
+            maps = [(e.lower, restriction_matrix(sheaf, e.lower, e, d)) for e in up_edges]
             for sec in secs:
                 vec = []
                 for y, matrix in maps:

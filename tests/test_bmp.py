@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kmflag.bmp import (
     compute_bmp,
     default_degree_cap,
-    sections,
     stalk_poincare,
     verify_against_inverse_kl,
 )
@@ -31,7 +30,7 @@ from kmflag.weyl import (
 )
 
 from conftest import A2, A3, B2, GCM_PAIRS
-from oracles import bmp_cover_degrees
+from oracles import bmp_cover_degrees, images, sections
 
 G2 = [[2, -1], [-3, 2]]
 B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
@@ -130,7 +129,7 @@ def test_verify_against_inverse_kl_small(fixture, request):
             type(c) is int
             for e in graph.edges
             for v in (e.lower, e.upper)
-            for vec in sheaf.images(v, e)
+            for vec in images(sheaf, v, e)
             for c in vec
         ), format_word(base)
 
@@ -329,8 +328,8 @@ def _sheaf_digest():
                 for e in graph.edges:
                     h.update(
                         f"{format_word(e.lower)} {format_word(e.upper)} {e.label} "
-                        f"{sheaf.vertex_shifts[e.lower]} {sheaf.images(e.lower, e)} "
-                        f"{sheaf.images(e.upper, e)}\n".encode()
+                        f"{sheaf.vertex_shifts[e.lower]} {images(sheaf, e.lower, e)} "
+                        f"{images(sheaf, e.upper, e)}\n".encode()
                     )
     return h.hexdigest()
 

@@ -10,7 +10,6 @@ from kmflag.graded_algebra import (
     CyclicPiece,
     GradedModuleRep,
     ModuleAmbient,
-    degree_basis,
     linear_quotient,
     minimal_generators,
     monomial_multiples,
@@ -20,7 +19,14 @@ from kmflag.root_datum import validate_cartan
 from kmflag.weyl import enumerate_ideal, full_weyl_group
 
 from conftest import GCM_PAIRS, rank3_datum
-from oracles import SPoly, divide_by_linear, reduce_mod_linear, spoly_vector, t_basis
+from oracles import (
+    SPoly,
+    degree_basis,
+    divide_by_linear,
+    reduce_mod_linear,
+    spoly_vector,
+    t_basis,
+)
 
 
 def x(i, n=2):
@@ -332,8 +338,8 @@ def test_reduce_free_matches_piecewise_reduction():
 
 
 def test_monomial_multiples_match_spoly_products():
-    # restriction_matrix, degree_basis and compute_bmp all multiply through
-    # mul_var_vec, so it is checked against SPoly products, reduced by
+    # compute_bmp and the oracles restriction_matrix and degree_basis all
+    # multiply through mul_var_vec, so it is checked against SPoly products, reduced by
     # spoly_vector, which share no code with it
     amb = ModuleAmbient(2, MIXED_PIECES + (CyclicPiece(0),))
     rng = random.Random(12)

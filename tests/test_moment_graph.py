@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmflag.bmp import compute_bmp, constant_sheaf, sections
+from kmflag.bmp import compute_bmp
 from kmflag.errors import DegreeCapExceeded
 from kmflag.moment_graph import build_moment_graph, covering_relations
 from kmflag.root_datum import validate_cartan
@@ -16,7 +16,14 @@ from kmflag.weyl import (
     simple_reflection,
 )
 
-from oracles import SPoly, reflection_pair_edges, structure_algebra_check
+from oracles import (
+    SPoly,
+    constant_sheaf,
+    reflection_pair_edges,
+    restriction_matrix,
+    sections,
+    structure_algebra_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +61,8 @@ def test_incident_labels_non_proportional(a3_graph):
     def proportional(a, b):
         return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
 
-    for v in a3_graph.vertices:
-        labels = [e.label for e in a3_graph.edges_at(v)]
+    for ins, outs in zip(a3_graph.in_edges, a3_graph.out_edges):
+        labels = [e.label for e in ins + outs]
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
                 assert not proportional(labels[i], labels[j])
@@ -172,7 +179,7 @@ def test_sections_satisfy_edge_equations(graph_fixture, base_word, request):
                 images = [
                     [
                         sum(a * b for a, b in zip(row, sec[v]))
-                        for row in sheaf.restriction_matrix(v, e, d)
+                        for row in restriction_matrix(sheaf, v, e, d)
                     ]
                     for v in (e.lower, e.upper)
                 ]
@@ -207,7 +214,7 @@ def test_lower_maps_are_the_edge_reductions(graph_fixture, base_words, request):
         for e in graph.edges:
             eamb = sheaf.edge_ambient(e)
             for d in range(0, sheaf.degree_cap + 1, 2):
-                matrix = sheaf.restriction_matrix(e.lower, e, d)
+                matrix = restriction_matrix(sheaf, e.lower, e, d)
                 dim = sheaf.vertex_ambient(e.lower).dim(d)
                 units = [[int(i == c) for i in range(dim)] for c in range(dim)]
                 assert [[row[c] for row in matrix] for c in range(dim)] == [
@@ -220,7 +227,7 @@ def test_restriction_matrix_needs_an_endpoint(a2_graph):
     e = a2_graph.edges[0]
     other = next(v for v in a2_graph.vertices if v not in (e.lower, e.upper))
     with pytest.raises(ValueError, match="not an endpoint"):
-        sheaf.restriction_matrix(other, e, 0)
+        restriction_matrix(sheaf, other, e, 0)
 
 
 def test_covering_relations(a2_group):
@@ -235,11 +242,40 @@ def test_affine_graph_edges(affine_a1, affine_a1_graph):
         assert affine_a1.is_real_root(e.label)
         assert bruhat_leq(e.lower, e.upper)
     by_vertex = {
-        format_word(v): len(affine_a1_graph.edges_at(v))
-        for v in affine_a1_graph.vertices
+        format_word(v): len(ins) + len(outs)
+        for v, ins, outs in zip(
+            affine_a1_graph.vertices, affine_a1_graph.in_edges, affine_a1_graph.out_edges
+        )
     }
     # the identity is reachable by reflections of every available length gap
     assert by_vertex["e"] >= 4
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+@pytest.mark.parametrize(
+    "cartan, bound",
+    [
+        ([[2, -1], [-1, 2]], None),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], None),
+        ([[2, -2], [-2, 2]], 6),
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 4),
+    ],
+    ids=["a2", "b3", "affine_a1", "hyperbolic"],
+)
+def test_incidence_table_is_the_edge_scan(cartan, bound, dual):
+    # in_edges and out_edges at each vertex are the full scan of edges,
+    # filtered by the upper and by the lower end, in edges order; so every
+    # edge sits once in each end's list
+    datum = validate_cartan(cartan)
+    ideal = full_weyl_group(datum) if bound is None else enumerate_ideal(datum, bound)
+    graph = build_moment_graph(datum, ideal, dual=dual)
+    assert len(graph.in_edges) == len(graph.out_edges) == len(graph.vertices)
+    for w, ins, outs in zip(graph.vertices, graph.in_edges, graph.out_edges):
+        assert list(ins) == [e for e in graph.edges if e.upper == w]
+        assert list(outs) == [e for e in graph.edges if e.lower == w]
+    for table in (graph.in_edges, graph.out_edges):
+        listed = [e for edges in table for e in edges]
+        assert sorted(map(graph.edges.index, listed)) == list(range(len(graph.edges)))
 
 
 def _check_edges_against_oracle(ideal):

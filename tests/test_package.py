@@ -24,7 +24,7 @@ def fresh(code):
 
 
 def test_public_names_are_their_submodules_objects():
-    assert len(kmflag.__all__) == len(set(kmflag.__all__)) == 50
+    assert len(kmflag.__all__) == len(set(kmflag.__all__)) == 47
     assert not set(kmflag.__all__) & set(SUBMODULES)
     for name in kmflag.__all__:
         value = getattr(kmflag, name)
