@@ -54,8 +54,6 @@ cap is legitimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
 from .graded_algebra import CyclicPiece, ModuleAmbient, cover_step
 from .kl import KLTable, QPoly
@@ -64,7 +62,6 @@ from .moment_graph import Edge, MomentGraph
 from .weyl import WeylElement, bruhat_leq, format_word  # noqa: F401
 
 
-@dataclass
 class GraphSheaf:
     """Graded sheaf data as the canonical construction builds it: a free
     stalk at every vertex, given by its generator degrees, and on each edge
@@ -73,10 +70,15 @@ class GraphSheaf:
     generator's degree; the lower stalk maps onto the edge by the canonical
     quotient, which is not stored."""
 
-    graph: MomentGraph
-    vertex_shifts: dict
-    restrictions: dict
-    degree_cap: int
+    __slots__ = ("graph", "vertex_shifts", "restrictions", "degree_cap")
+
+    def __init__(
+        self, graph: MomentGraph, vertex_shifts: dict, restrictions: dict, degree_cap: int
+    ):
+        self.graph = graph
+        self.vertex_shifts = vertex_shifts
+        self.restrictions = restrictions
+        self.degree_cap = degree_cap
 
     def vertex_ambient(self, v) -> ModuleAmbient:
         return ModuleAmbient(
@@ -90,11 +92,14 @@ class GraphSheaf:
         )
 
 
-@dataclass
 class BMPSheaf(GraphSheaf):
     """The canonical sheaf from base; its stalks are empty off the support."""
 
-    base: WeylElement
+    __slots__ = ("base",)
+
+    def __init__(self, graph, vertex_shifts, restrictions, degree_cap, base: WeylElement):
+        super().__init__(graph, vertex_shifts, restrictions, degree_cap)
+        self.base = base
 
     @property
     def stalks(self) -> dict:
@@ -241,18 +246,22 @@ def compute_bmp(
 # -- cross-validation -------------------------------------------------------
 
 
-@dataclass
 class VerificationEntry:
-    vertex: WeylElement
-    stalk: QPoly
-    inverse_kl: QPoly
-    match: bool
+    __slots__ = ("vertex", "stalk", "inverse_kl", "match")
+
+    def __init__(self, vertex: WeylElement, stalk: QPoly, inverse_kl: QPoly, match: bool):
+        self.vertex = vertex
+        self.stalk = stalk
+        self.inverse_kl = inverse_kl
+        self.match = match
 
 
-@dataclass
 class VerificationReport:
-    base: WeylElement
-    entries: list
+    __slots__ = ("base", "entries")
+
+    def __init__(self, base: WeylElement, entries: list):
+        self.base = base
+        self.entries = entries
 
     @property
     def all_match(self) -> bool:

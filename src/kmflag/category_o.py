@@ -11,10 +11,10 @@ cross-checked against BGG reciprocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .bmp import BMPSheaf, compute_bmp, stalk_poincare
 from .errors import (
     CrossCheckFailed,
@@ -29,20 +29,27 @@ from .root_datum import AFFINE, FINITE, RootDatum, height
 from .weyl import BruhatIdeal, WeightCoords, WeylElement, dot_action
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Value):
     """An antidominant-block candidate: base weight plus its predicates.
 
     noncritical is None for indefinite data, where the imaginary roots are
     not available in closed form.
     """
 
-    datum: RootDatum
-    pairings: tuple
-    integral: bool
-    regular: bool
-    antidominant: bool
-    noncritical: bool | None
+    __slots__ = _fields = (
+        "datum", "pairings", "integral", "regular", "antidominant", "noncritical"
+    )
+
+    def __init__(
+        self, datum: RootDatum, pairings: tuple, integral: bool, regular: bool,
+        antidominant: bool, noncritical: bool | None,
+    ):
+        self.datum = datum
+        self.pairings = pairings
+        self.integral = integral
+        self.regular = regular
+        self.antidominant = antidominant
+        self.noncritical = noncritical
 
     def base_weight(self) -> WeightCoords:
         if not self.integral:
@@ -142,14 +149,16 @@ def kostant_partition(datum: RootDatum, beta, depth: int) -> int:
     return _kostant_table(datum, depth).get(beta, 0)
 
 
-@dataclass(frozen=True)
 class CharacterSeries:
     """Weight multiplicities below a base weight, keyed by the root-lattice
     offset (coordinates <= 0), truncated to drops of height <= depth."""
 
-    base: WeightCoords
-    coeffs: dict
-    depth: int
+    __slots__ = ("base", "coeffs", "depth")
+
+    def __init__(self, base: WeightCoords, coeffs: dict, depth: int):
+        self.base = base
+        self.coeffs = coeffs
+        self.depth = depth
 
     def coefficient(self, offset) -> int:
         return self.coeffs.get(tuple(offset), 0)

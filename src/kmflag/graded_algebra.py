@@ -13,10 +13,10 @@ its coefficients on that piece's reduced monomials; a generator is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._linalg import solve_right
+from ._value import Value
 from .errors import CapBoundaryGenerator, DegreeMismatch
 
 
@@ -178,13 +178,15 @@ def linear_quotient(nvars: int, coords) -> LinearQuotient:
 # -- graded module representations -----------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicPiece:
+class CyclicPiece(Value):
     """One cyclic summand (S/alpha)(-shift) for a linear form given by its
     coordinate tuple; annihilator None is the zero form, the free S(-shift)."""
 
-    shift: int
-    annihilator: tuple | None = None
+    __slots__ = _fields = ("shift", "annihilator")
+
+    def __init__(self, shift: int, annihilator: tuple | None = None):
+        self.shift = shift
+        self.annihilator = annihilator
 
 
 class ModuleAmbient:
@@ -263,18 +265,18 @@ class ModuleAmbient:
         return out
 
 
-@dataclass
 class GradedModuleRep:
     """Submodule of an ambient sum of cyclic pieces, given by homogeneous
     generators as (degree, flattened degree-d integer vector) pairs; all
     degreewise data is exact up to degree_cap."""
 
-    ambient: ModuleAmbient
-    generators: tuple
-    degree_cap: int
+    __slots__ = ("ambient", "generators", "degree_cap")
 
-    def __post_init__(self):
-        for d, vec in self.generators:
+    def __init__(self, ambient: ModuleAmbient, generators: tuple, degree_cap: int):
+        self.ambient = ambient
+        self.generators = generators
+        self.degree_cap = degree_cap
+        for d, vec in generators:
             if len(vec) != self.ambient.dim(d):
                 raise DegreeMismatch(
                     f"degree-{d} generator has {len(vec)} coordinates, "

@@ -7,8 +7,25 @@ defined by the signed inversion identity
 
     sum_{x <= y <= w} (-1)^{l(y)-l(x)} P_{x,y} Q_{y,w} = delta_{x,w}.
 
-Both recursions run on positions in the ideal, reading descents, s*y and
-the intervals [y, w] off the ideal's tables; no Weyl element is multiplied.
+Both are built a column at a time, by induction on w along its least left
+descent s, with v = s*w < w (Kazhdan-Lusztig, Invent. Math. 53 (1979),
+section 2).  The mu-list of an element x holds the z < x whose
+mu(z, x), the q^((l(x)-l(z)-1)/2) coefficient of P_{z,x}, is nonzero.
+
+- P_{.,w} from P_{.,v} and v's mu-list: P_{y,w} = P_{sy,w} when sy > y,
+  and otherwise P_{y,w} = P_{sy,v} + q P_{y,v} minus the sum of
+  mu(z,v) q^((l(v)-l(z)+1)/2) P_{y,z} over the z of the list with sz < z.
+- Q_{.,w} from Q_{.,v} by one product in the Hecke algebra.  In
+  Soergel's normalisation (Represent. Theory 1 (1997)), with q = v^-2 for
+  the Hecke parameter v, the standard basis is
+  H_x = sum_y (-1)^(l(x)-l(y)) v^(l(x)-l(y)) Q_{y,x}(v^-2) C_y in the
+  Kazhdan-Lusztig basis C, and H_{sx} = (C_s - v) H_x when sx > x.  With
+  C_s C_y = (v + 1/v) C_y when sy < y, and C_{sy} plus the mu(z,y) C_z
+  over y's mu-list with sz < z otherwise, each Q_{y,v} gives terms to at
+  most 2 + |mu-list of y| entries of the new column.
+
+Everything runs on positions in the ideal, reading descents, s*y and the
+intervals [y, w] off the ideal's tables; no Weyl element is multiplied.
 """
 
 from __future__ import annotations
@@ -123,9 +140,18 @@ def _positions(bits: int) -> list[int]:
     return [k for k, b in enumerate(reversed(bin(bits))) if b == "1"]
 
 
+def _add(acc: list, coeffs, shift: int, factor: int) -> None:
+    """acc += factor * q^shift * coeffs, growing acc as needed."""
+    if len(acc) < shift + len(coeffs):
+        acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for k, c in enumerate(coeffs, shift):
+        acc[k] += factor * c
+
+
 class KLTable:
-    """Memoized P and Q polynomials scoped to one downward-closed ideal,
-    keyed by position pairs; the public methods take elements."""
+    """P and Q polynomials scoped to one downward-closed ideal, computed a
+    column at a time and keyed by position pairs; the public methods take
+    elements."""
 
     def __init__(self, ideal: BruhatIdeal):
         # ideal.below raises IntervalNotContained unless the ideal is closed
@@ -134,47 +160,76 @@ class KLTable:
         self._length = [w.length() for w in ideal.elements]
         self._p: dict = {}
         self._q: dict = {}
+        self._mu: dict = {}
 
     def kl_polynomial(self, y: WeylElement, w: WeylElement) -> QPoly:
         return self._kl(self.ideal.position(y), self.ideal.position(w))
 
     def _kl(self, y: int, w: int) -> QPoly:
-        key = (y, w)
-        cached = self._p.get(key)
-        if cached is not None:
-            return cached
-        if y == w:
-            p = ONE
-        elif not self._below[w] >> y & 1:
-            p = ZERO
-        else:
-            p = self._kl_recursion(y, w)
-            if any(c < 0 for c in p.coeffs):
-                raise AssertionError(f"negative KL coefficient in {p.text()}")
-            if 2 * p.degree > self._length[w] - self._length[y] - 1:
-                raise AssertionError("KL degree bound violated")
-        self._p[key] = p
+        p = self._p.get((y, w))
+        if p is None:
+            if not self._below[w] >> y & 1:
+                return ZERO
+            self._mu_list(w)  # builds P's columns up to w
+            p = self._p[y, w]
         return p
 
-    def _kl_recursion(self, y: int, w: int) -> QPoly:
-        # s = s_i for the least left descent i of w; every z <= w has s*z
-        # in the ideal (lifting property), so only w's row can hold None
-        left = self._left
-        i = next(i for i, sw in enumerate(left[w]) if sw is not None and sw < w)
-        sy, v = left[y][i], left[w][i]
-        if sy > y:
-            # s is a descent of w but an ascent of y: P_{y,w} = P_{sy,w}
-            return self._kl(sy, w)
-        p = self._kl(sy, v) + self._kl(y, v).shift(1)
-        for z in _positions(self._below[v]):
-            # mu(z, v): the q^d coefficient of P_{z,v}; z = v gives d odd
-            d, odd = divmod(self._length[v] - self._length[z] - 1, 2)
-            if odd or left[z][i] > z or not self._below[z] >> y & 1:
-                continue
-            m = self._kl(z, v).coefficient(d)
+    def _descent(self, w: int):
+        """The least left descent of w, None for the identity."""
+        left = self._left[w]
+        return next((i for i, sw in enumerate(left) if sw is not None and sw < w), None)
+
+    def _mu_list(self, v: int) -> list:
+        """The triples (z, mu(z, v), h) with z < v, mu(z, v) != 0 and
+        h = (l(v) - l(z) + 1)/2, read off P's column at v.  The columns of
+        the whole interval [e, v] are built first, in position order."""
+        mu = self._mu.get(v)
+        if mu is None:
+            for x in _positions(self._below[v]):
+                if x not in self._mu:
+                    self._kl_recursion(x)
+            mu = self._mu[v]
+        return mu
+
+    def _kl_recursion(self, w: int) -> None:
+        """P's column at w from the columns below it, and its mu-list.
+
+        With s the least left descent of w and v = s*w,
+        P_{y,w} = P_{sy,w} when sy > y, and otherwise
+        P_{y,w} = P_{sy,v} + q P_{y,v} - sum mu(z,v) q^h P_{y,z}
+        over the (z, mu, h) of v's mu-list with sz < z and y <= z.  Every
+        z <= w has s*z in the ideal (lifting property), and the y run down
+        the positions, so P_{sy,w} is known before P_{y,w}."""
+        p, below, left, length = self._p, self._below, self._left, self._length
+        i = self._descent(w)
+        col = _positions(below[w])
+        p[w, w] = ONE
+        if i is not None:
+            v = left[w][i]
+            lowered = [(z, m, h) for z, m, h in self._mu[v] if left[z][i] < z]
+            for y in reversed(col[:-1]):
+                sy = left[y][i]
+                if sy > y:
+                    p[y, w] = p[sy, w]
+                    continue
+                acc = list(p.get((sy, v), ZERO).coeffs)
+                _add(acc, p.get((y, v), ZERO).coeffs, 1, 1)
+                for z, m, h in lowered:
+                    if below[z] >> y & 1:
+                        _add(acc, p[y, z].coeffs, h, -m)
+                poly = QPoly(acc)
+                if any(c < 0 for c in poly.coeffs):
+                    raise AssertionError(f"negative KL coefficient in {poly.text()}")
+                if 2 * poly.degree > length[w] - length[y] - 1:
+                    raise AssertionError("KL degree bound violated")
+                p[y, w] = poly
+        mu = []
+        for z in col[:-1]:
+            d, odd = divmod(length[w] - length[z] - 1, 2)
+            m = 0 if odd else p[z, w].coefficient(d)
             if m:
-                p = p - m * self._kl(y, z).shift(d + 1)
-        return p
+                mu.append((z, m, d + 1))
+        self._mu[w] = mu
 
     def mu_coefficient(self, z: WeylElement, v: WeylElement) -> int:
         """Coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, else 0."""
@@ -187,25 +242,52 @@ class KLTable:
         return self._inv(self.ideal.position(x), self.ideal.position(w))
 
     def _inv(self, x: int, w: int) -> QPoly:
-        key = (x, w)
-        cached = self._q.get(key)
-        if cached is not None:
-            return cached
-        if x == w:
-            q = ONE
-        elif not self._below[w] >> x & 1:
-            q = ZERO
-        else:
-            q = ZERO
-            for y in _positions(self._below[w]):
-                if y == x or not self._below[y] >> x & 1:
-                    continue
-                term = self._kl(x, y) * self._inv(y, w)
-                if (self._length[y] - self._length[x]) % 2:
-                    q = q + term
-                else:
-                    q = q - term
-            if any(c < 0 for c in q.coeffs):
-                raise AssertionError(f"negative inverse KL coefficient in {q.text()}")
-        self._q[key] = q
+        q = self._q.get((x, w))
+        if q is None:
+            if not self._below[w] >> x & 1:
+                return ZERO
+            self._inv_column(w)
+            q = self._q[x, w]
         return q
+
+    def _inv_column(self, w: int) -> None:
+        """Q's columns along w's canonical word, from the highest one known.
+
+        With s the least left descent of w and v = s*w, Q_{.,w} comes from
+        Q_{.,v}: for each y with Q_{y,v} != 0, Q_{y,w} -= q Q_{y,v} when
+        sy < y, and otherwise Q_{sy,w} and Q_{y,w} gain Q_{y,v} and, for
+        each (z, mu, h) of y's mu-list with sz < z, Q_{z,w} gains
+        mu q^h Q_{y,v}.  Every index lies below w (lifting property)."""
+        q, below, left = self._q, self._below, self._left
+        chain = []
+        while (w, w) not in q:
+            i = self._descent(w)
+            if i is None:
+                q[w, w] = ONE
+                break
+            chain.append((w, i))
+            w = left[w][i]
+        for w, i in reversed(chain):
+            v = left[w][i]
+            self._mu_list(v)  # builds the mu-lists of every y <= v
+            col = {}
+            for y in _positions(below[v]):
+                c = q[y, v].coeffs
+                if not c:
+                    continue
+                sy = left[y][i]
+                if sy < y:
+                    _add(col.setdefault(y, []), c, 1, -1)
+                    continue
+                _add(col.setdefault(sy, []), c, 0, 1)
+                _add(col.setdefault(y, []), c, 0, 1)
+                for z, m, h in self._mu[y]:
+                    if left[z][i] < z:
+                        _add(col.setdefault(z, []), c, h, m)
+            for x in _positions(below[w]):
+                poly = QPoly(col.get(x, ()))
+                if any(c < 0 for c in poly.coeffs):
+                    raise AssertionError(
+                        f"negative inverse KL coefficient in {poly.text()}"
+                    )
+                q[x, w] = poly

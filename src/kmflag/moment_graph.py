@@ -10,33 +10,40 @@ opposite.  Sheaves on these graphs live in bmp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .root_datum import RootDatum, RootVector
 from .weyl import BruhatIdeal, WeylElement
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """Edge {lower, upper} with upper = s_label . lower and lower < upper."""
 
-    lower: WeylElement
-    upper: WeylElement
-    label: RootVector
+    __slots__ = _fields = ("lower", "upper", "label")
+
+    def __init__(self, lower: WeylElement, upper: WeylElement, label: RootVector):
+        self.lower = lower
+        self.upper = upper
+        self.label = label
 
 
-@dataclass(frozen=True)
-class MomentGraph:
+class MomentGraph(Value):
     """The graph with its incidence table: in_edges[k] and out_edges[k] are
     the edges whose upper, resp. lower, end is the vertex at ideal position
-    k, each in `edges` order."""
+    k, each in `edges` order.  Equality reads the graph, not the table."""
 
-    datum: RootDatum
-    ideal: BruhatIdeal
-    edges: tuple[Edge, ...]
-    dual_flag: bool
-    in_edges: tuple[tuple[Edge, ...], ...] = field(repr=False, compare=False)
-    out_edges: tuple[tuple[Edge, ...], ...] = field(repr=False, compare=False)
+    _fields = ("datum", "ideal", "edges", "dual_flag")
+    __slots__ = _fields + ("in_edges", "out_edges")
+
+    def __init__(
+        self, datum: RootDatum, ideal: BruhatIdeal, edges: tuple[Edge, ...],
+        dual_flag: bool, in_edges: tuple, out_edges: tuple,
+    ):
+        self.datum = datum
+        self.ideal = ideal
+        self.edges = edges
+        self.dual_flag = dual_flag
+        self.in_edges = in_edges
+        self.out_edges = out_edges
 
     @property
     def vertices(self) -> tuple[WeylElement, ...]:

@@ -11,11 +11,11 @@ integer tuples, and the symmetric bilinear form is normalized so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
 from ._linalg import kernel_basis
+from ._value import Value
 from .errors import (
     HeightBoundExceeded, NotGCM, NotSymmetrizable, SizeLimitExceeded, UnsupportedKind,
 )
@@ -119,14 +119,19 @@ def _null_vector(rows) -> tuple[int, ...]:
     return tuple(kernel[0])
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Value):
     """Validated GCM with symmetrizer, kind and (affine) dual Kac labels."""
 
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
-    kind: str
-    dual_labels: tuple[int, ...] | None
+    __slots__ = _fields = ("cartan", "symmetrizer", "kind", "dual_labels")
+
+    def __init__(
+        self, cartan: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...],
+        kind: str, dual_labels: tuple[int, ...] | None,
+    ):
+        self.cartan = cartan
+        self.symmetrizer = symmetrizer
+        self.kind = kind
+        self.dual_labels = dual_labels
 
     @property
     def rank(self) -> int:

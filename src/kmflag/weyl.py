@@ -15,9 +15,9 @@ neighbours s_i w, which KLTable reads in place of matrix products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import Value
 from .errors import (
     IntervalNotContained,
     NotInIdeal,
@@ -282,8 +282,7 @@ def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
     return list(_lower_pairs(w, {}))
 
 
-@dataclass(frozen=True)
-class BruhatIdeal:
+class BruhatIdeal(Value):
     """A finite subset of the Weyl group, meant to be downward closed, with
     `elements` sorted canonically so that positions follow Bruhat order.
     Its reflection table holds, per position, the pairs (beta, position of
@@ -291,14 +290,13 @@ class BruhatIdeal:
     over the elements, read by lower_reflections, `left`, `below`, leq and
     sj_complement."""
 
-    datum: RootDatum
-    elements: tuple[WeylElement, ...]
-    description: str
+    _fields = ("datum", "elements", "description")
 
-    def __post_init__(self):
-        elements = tuple(sorted(self.elements, key=WeylElement.sort_key))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_pos", {w: k for k, w in enumerate(elements)})
+    def __init__(self, datum: RootDatum, elements, description: str):
+        self.datum = datum
+        self.elements = tuple(sorted(elements, key=WeylElement.sort_key))
+        self.description = description
+        self._pos = {w: k for k, w in enumerate(self.elements)}
 
     def __contains__(self, w) -> bool:
         return w in self._pos
@@ -493,13 +491,15 @@ def stratum_dimension(x: WeylElement, ideal: BruhatIdeal) -> int:
 # -- weights and the dot action -------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightCoords:
+class WeightCoords(Value):
     """Integral weight recorded by its simple-coroot pairings plus the
     root-lattice offset from a block base point."""
 
-    pairings: tuple[int, ...]
-    offset: tuple[int, ...]
+    __slots__ = _fields = ("pairings", "offset")
+
+    def __init__(self, pairings: tuple[int, ...], offset: tuple[int, ...]):
+        self.pairings = pairings
+        self.offset = offset
 
     @staticmethod
     def base(pairings) -> "WeightCoords":

@@ -306,6 +306,28 @@ class KLOracle:
         return out
 
 
+def back_substitution_q(table) -> dict:
+    """Every Q_{x,w} of a KLTable's ideal, keyed by position pairs, by the
+    unitriangular back-substitution
+    Q_{x,w} = sum_{x < y <= w} (-1)^{l(y)-l(x)+1} P_{x,y} Q_{y,w}
+    over the whole interval, with P read from the table.  Positions follow
+    Bruhat order, so x descending meets every Q_{y,w} before it is used."""
+    below = table.ideal.below
+    length = [w.length() for w in table.ideal.elements]
+    q = {}
+    for w in range(len(length)):
+        q[w, w] = QPoly((1,))
+        for x in range(w - 1, -1, -1):
+            acc = QPoly()
+            if below[w] >> x & 1:
+                for y in range(x + 1, w + 1):
+                    if below[w] >> y & 1 and below[y] >> x & 1:
+                        term = table._kl(x, y) * q[y, w]
+                        acc = acc + term if (length[y] - length[x]) % 2 else acc - term
+            q[x, w] = acc
+    return q
+
+
 def is_linear_reflection(t) -> bool:
     """Involution fixing a hyperplane: rank(M - I) == 1 over the rationals.
     Deliberately avoids the package's root-based reflection test.  M is the

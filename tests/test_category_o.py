@@ -1,9 +1,9 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from kmflag.category_o import (
+    BlockSpec,
     SheafTable,
     antidominant_block,
     classify_weight,
@@ -241,7 +241,8 @@ def test_projective_multiplicity_predicates(a2, a2_group, a2_table):
         classify_weight(a2, (0, 0), a2_group),
         classify_weight(a2, (-1, -2), a2_group),
         classify_weight(a2, (Fraction(-1, 2), -2), a2_group),
-        replace(good, noncritical=False),
+        BlockSpec(good.datum, good.pairings, good.integral, good.regular,
+                  good.antidominant, False),
     ):
         with pytest.raises(PredicateViolation):
             projective_verma_multiplicity(block, e, s1, sheaves, a2_table)

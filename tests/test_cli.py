@@ -458,7 +458,8 @@ def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
     # -v logs every module loaded, including those imported through importlib
     loaded = set(re.findall(r"^import '([\w.]+)'", done.stderr.decode(), re.M))
     assert {m for m in loaded if m.startswith("kmflag.")} == {
-        f"kmflag.{m}" for m in ("_linalg", "errors", "root_datum", "weyl", *stages)
+        f"kmflag.{m}"
+        for m in ("_linalg", "_value", "errors", "root_datum", "weyl", *stages)
     }
     assert ("csv" in loaded) == ("--format csv" in args)
     # rationals appear only in category O's weights

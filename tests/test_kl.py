@@ -17,9 +17,11 @@ from kmflag.weyl import (
 )
 
 from conftest import GCM_PAIRS as PAIRS
-from oracles import KLOracle
+from oracles import KLOracle, back_substitution_q
 
 HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
+# rank-3 hyperbolic whose P has pairs with mu = 2 from l = 5 on
+HYPERBOLIC_MU2 = [[2, -1, -1], [-1, 2, -2], [-1, -2, 2]]
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +125,35 @@ def test_rank3_kl_matches_oracle(pairs):
             assert acc == (QPoly((1,)) if x == w else QPoly())
 
 
-def test_inverse_kl_matches_oracle_inversion(a3_group, a3_table):
-    oracle = KLOracle(a3_group)
-    qmat = oracle.inverse_kl_matrix()
-    for x in a3_group:
-        for w in a3_group:
-            assert a3_table.inverse_kl(x, w) == qmat[(x, w)]
+def test_inverse_kl_matches_oracle_inversion(request):
+    for name in ("b2_group", "a3_group", "affine_a1_ideal6", "hyperbolic3_ideal4"):
+        group = request.getfixturevalue(name)
+        table = KLTable(group)
+        qmat = KLOracle(group).inverse_kl_matrix()
+        for x in group:
+            for w in group:
+                assert table.inverse_kl(x, w) == qmat[(x, w)], (
+                    name, format_word(x), format_word(w)
+                )
+
+
+@pytest.mark.parametrize(
+    "cartan, max_length",
+    [
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 5),
+        (HYPERBOLIC3, 6),
+        (HYPERBOLIC_MU2, 5),
+    ],
+    ids=["b3", "affine_a2", "hyperbolic3", "hyperbolic_mu2"],
+)
+def test_inverse_kl_columns_match_back_substitution(cartan, max_length):
+    # Q by columns against the sum over whole intervals, on the same P
+    ideal = enumerate_ideal(validate_cartan(cartan), max_length)
+    table = KLTable(ideal)
+    expected = back_substitution_q(KLTable(ideal))
+    for (x, w), q in expected.items():
+        assert table._inv(x, w) == q, (x, w)
 
 
 def test_inverse_kl_longest_element_duality(a3_group, a3_table):

@@ -69,3 +69,59 @@ def test_star_import_binds_exactly_all():
         "import json; print(json.dumps(bound))"
     )
     assert bound == sorted(kmflag.__all__)
+
+
+def test_stages_load_without_dataclasses_or_inspect():
+    # pytest itself loads both modules, so only a fresh interpreter can tell
+    loaded = fresh(
+        "import json, sys; "
+        "import kmflag.cli, kmflag.kl, kmflag.moment_graph, kmflag.graded_algebra, "
+        "kmflag.bmp, kmflag.category_o; "
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    assert loaded == []
+
+
+@pytest.fixture(scope="module")
+def records():
+    """Class name -> (instance, equal twin, one field changed)."""
+    return {type(v).__name__: (v, t, c) for v, t, c in _triples()}
+
+
+def _triples():
+    from kmflag.category_o import BlockSpec, antidominant_block
+    from kmflag.graded_algebra import CyclicPiece
+    from kmflag.moment_graph import Edge, MomentGraph, build_moment_graph
+    from kmflag.root_datum import RootDatum, validate_cartan
+    from kmflag.weyl import BruhatIdeal, WeightCoords, enumerate_ideal, from_word
+
+    a2 = validate_cartan([[2, -1], [-1, 2]])
+    twin = RootDatum(a2.cartan, a2.symmetrizer, a2.kind, a2.dual_labels)
+    ideal = enumerate_ideal(a2, 2)
+    same_ideal = BruhatIdeal(a2, tuple(reversed(ideal.elements)), ideal.description)
+    graph = build_moment_graph(a2, ideal)
+    s1, s12 = from_word(a2, [0]), from_word(a2, [0, 1])
+    block = antidominant_block(a2, ideal)
+    yield a2, twin, RootDatum(a2.cartan, a2.symmetrizer, "affine", a2.dual_labels)
+    yield ideal, same_ideal, BruhatIdeal(a2, ideal.elements, "other")
+    yield (WeightCoords((1, 2), (0, 0)), WeightCoords((1, 2), (0, 0)),
+           WeightCoords((1, 2), (0, -1)))
+    yield Edge(s1, s12, (0, 1)), Edge(s1, s12, (0, 1)), Edge(s1, s12, (1, 1))
+    # equality reads the graph, not its incidence table
+    yield (graph,
+           MomentGraph(a2, same_ideal, graph.edges, False, (), ()),
+           MomentGraph(a2, ideal, graph.edges, True, graph.in_edges, graph.out_edges))
+    yield CyclicPiece(2, (1, 0)), CyclicPiece(2, (1, 0)), CyclicPiece(2)
+    yield (block,
+           BlockSpec(a2, block.pairings, True, True, True, True),
+           BlockSpec(a2, block.pairings, True, True, True, False))
+
+
+@pytest.mark.parametrize("name", ["RootDatum", "BruhatIdeal", "WeightCoords", "Edge",
+                                  "MomentGraph", "CyclicPiece", "BlockSpec"])
+def test_value_classes_compare_and_hash_by_fields(records, name):
+    value, twin, changed = records[name]
+    assert twin is not value
+    assert twin == value and hash(twin) == hash(value)
+    assert changed != value and type(changed) is type(value)
+    assert value != tuple(getattr(value, f) for f in value._fields)
