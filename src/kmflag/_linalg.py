@@ -1,18 +1,22 @@
 """Exact linear algebra over the integers for small dense systems.
 
 Vectors are plain lists of int.  RowSpan, an incrementally kept reduced
-row-echelon span, is the one Gauss-Jordan routine: solve_right reduces its
-rows through it, and kernel_basis is solve_right with no right-hand side.
-Elimination is fraction-free: every row operation replaces v by b*v - a*row,
-with a and b the two entries of the pivot column divided by their gcd, and
-then divides the result by the gcd of its entries.  Results are the unique
-scale-free answers - primitive reduced row-echelon rows, primitive kernel
-vectors - and a value read off the reduced rows is cleared of its
-denominators by the least scale that does so, which is returned beside it.
+row-echelon span, is the one Gauss-Jordan routine.  solve_right reduces the
+columns of [A | B] through it once and finds which right-hand sides are new;
+the lifts and the kernel are read off its reduced rows, the Elimination it
+returns, only when asked for.  kernel_basis is solve_right with no
+right-hand side.  The arithmetic is fraction-free: every row operation
+replaces v by b*v - a*row, with a and b the two entries of the pivot column
+divided by their gcd, and a row is divided by the gcd of its entries once
+it is reduced.  Results are the unique scale-free answers - primitive
+reduced row-echelon rows, primitive kernel vectors - and a value read off
+the reduced rows is cleared of its denominators by the least scale that
+does so, which is returned beside it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import gcd, lcm
 
 
@@ -23,27 +27,6 @@ def primitive(vec):
     if next((x for x in vec if x), 0) < 0:
         g = -g
     return list(vec) if g in (0, 1) else [x // g for x in vec]
-
-
-def _content_free(ints):
-    """An integer vector divided by the gcd of its entries; signs kept."""
-    g = gcd(*ints)
-    return ints if g <= 1 else [x // g for x in ints]
-
-
-def _combine(v, row, p):
-    """b*v - a*row for integer rows, where a = v[p] and b = row[p] are
-    divided by their gcd, then divided by the gcd of its entries.  Column p
-    of the result is zero; when b > 0, entries where row is zero keep their
-    sign."""
-    a, b = v[p], row[p]
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
-    if b == 1:
-        return _content_free([x - a * y if y else x for x, y in zip(v, row)])
-    return _content_free([b * x - a * y for x, y in zip(v, row)])
 
 
 class RowSpan:
@@ -60,32 +43,50 @@ class RowSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def residual(self, vec):
-        """An integer multiple of vec reduced against the span, with no
-        common factor; it vanishes exactly when vec lies in the span.
-        Returns a new list."""
-        v = primitive(vec)
+    def _reduce(self, vec):
+        """An integer multiple of vec minus a combination of the rows, zero
+        in every pivot column; it vanishes exactly when vec lies in the
+        span.  Only the pivot-pair gcds are divided out."""
+        v = vec
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = _combine(v, row, p)
+            a = v[p]
+            if a:
+                b = row[p]
+                g = gcd(a, b)
+                if g != 1:
+                    a //= g
+                    b //= g
+                if b == 1:
+                    v = [x - a * y if y else x for x, y in zip(v, row)]
+                else:
+                    v = [b * x - a * y for x, y in zip(v, row)]
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+        return not any(self._reduce(vec))
 
     def add(self, vec) -> bool:
         """Add vec to the span; True if the dimension grew."""
-        v = self.residual(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+        v = self._reduce(vec)
+        g = gcd(*v)
+        if not g:
             return False
-        if v[p] < 0:
-            v = [-x for x in v]
+        b = next(filter(None, v))
+        p = v.index(b)  # the first nonzero entry
+        if b < 0:
+            g = -g
+        v = [x // g for x in v]
+        b //= g
         rows = self.rows
         for k, row in enumerate(rows):
-            if row[p]:
-                rows[k] = _combine(row, v, p)
-        pos = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
+            a = row[p]
+            if a:
+                h = gcd(a, b)
+                a, c = a // h, b // h
+                new = [c * x - a * y for x, y in zip(row, v)]
+                h = gcd(*new)
+                rows[k] = new if h == 1 else [x // h for x in new]
+        pos = bisect(self.pivots, p)
         rows.insert(pos, v)
         self.pivots.insert(pos, p)
         return True
@@ -103,49 +104,62 @@ def _read_off(rows, pivots, c, slots, width: int):
     return scale, x
 
 
-def _null_vectors(rows, pivots, ncols: int, width: int):
-    """Primitive basis of the kernel of reduced rows, one vector of length
-    width per free column below ncols, in increasing order."""
-    basis = []
-    for free in sorted(set(range(ncols)).difference(pivots)):
-        # minus a kernel vector; primitive fixes the sign
-        scale, v = _read_off(rows, pivots, free, pivots, width)
-        v[free] = -scale
-        basis.append(primitive(v))
-    return basis
+class Elimination:
+    """What solve_right found for [A | B]: the reduced rows, and in fresh,
+    in order, the index of each right-hand side b outside the column span
+    of A and of the b's before it.  A' is A with those b's adjoined as
+    columns ncols, ncols + 1, ...  lifts() and kernel() read the rest off
+    the reduced rows, each only when asked for."""
+
+    __slots__ = ("ncols", "nrhs", "live", "rows", "pivots", "n_a", "fresh")
+
+    def __init__(self, span: RowSpan, ncols: int, nrhs: int, live: list):
+        self.ncols, self.nrhs, self.live = ncols, nrhs, live
+        self.rows, self.pivots = span.rows, span.pivots
+        # pivots ascend, so A's pivot columns come first, then the adjoined b's
+        self.n_a = n_a = bisect(self.pivots, ncols - 1)
+        self.fresh = [live[p - ncols] for p in self.pivots[n_a:]]
+
+    def lifts(self):
+        """One lift (scale, x) per b: x is the integer vector, free
+        coordinates zero, with A' x = scale * b for the least integer
+        scale >= 1 that allows one.  A zero b lifts to (1, zero vector); an
+        adjoined b lifts to (1, its unit vector)."""
+        ncols, n_a = self.ncols, self.n_a
+        width = ncols + len(self.fresh)
+        slots = self.pivots[:n_a] + list(range(ncols, width))
+        xs = [(1, [0] * width) for _ in range(self.nrhs)]
+        for j, s in enumerate(self.live):
+            xs[s] = _read_off(self.rows, self.pivots, ncols + j, slots, width)
+        return xs
+
+    def kernel(self):
+        """Primitive basis of {v : A' v = 0}, which is zero on the adjoined
+        columns, one vector per free column of A in increasing order."""
+        # the rows pivoting on adjoined columns are zero on A's, so no
+        # kernel vector needs them
+        rows, pivots = self.rows[: self.n_a], self.pivots[: self.n_a]
+        width = self.ncols + len(self.fresh)
+        basis = []
+        for free in sorted(set(range(self.ncols)).difference(pivots)):
+            # minus a kernel vector; primitive fixes the sign
+            scale, v = _read_off(rows, pivots, free, pivots, width)
+            v[free] = -scale
+            basis.append(primitive(v))
+        return basis
+
+
+def solve_right(a_cols, rhs) -> Elimination:
+    """One elimination of [A | B]: A given by its integer columns and each
+    right-hand side b in rhs as a column of the same length.  A zero b stays
+    out of the elimination."""
+    live = [s for s, b in enumerate(rhs) if any(b)]
+    span = RowSpan(len(a_cols) + len(live))
+    for row in zip(*a_cols, *(rhs[s] for s in live)):
+        span.add(row)
+    return Elimination(span, len(a_cols), len(rhs), live)
 
 
 def kernel_basis(rows, width: int):
     """Primitive integer basis of {v : R v = 0} for the given equation rows."""
-    return solve_right(rows, (), width)[2]
-
-
-def solve_right(a_rows, rhs, ncols: int):
-    """One elimination of [A | B] for the integer right-hand sides b in rhs.
-
-    A is given as rows of length ncols; each b has one entry per row of A.
-    Returns (fresh, xs, kernel).  fresh lists, in order, the index of each b
-    outside the column span of A and of the b's adjoined before it; A' is A
-    with those b's adjoined as columns ncols, ncols + 1, ...  xs holds one
-    lift (scale, x) per b: x is the integer vector, free coordinates zero,
-    with A' x = scale * b for the least integer scale >= 1 that allows one.
-    kernel is the primitive basis of {v : A' v = 0}, which is zero on the
-    adjoined columns.  A zero b lifts to (1, zero vector) and stays out of
-    the elimination; an adjoined b lifts to (1, its unit vector).
-    """
-    live = [s for s, b in enumerate(rhs) if any(b)]
-    span = RowSpan(ncols + len(live))
-    for i, ar in enumerate(a_rows):
-        span.add(list(ar) + [rhs[s][i] for s in live])
-    rows, pivots = span.rows, span.pivots
-    # pivots ascend, so A's pivot columns come first, then the adjoined b's
-    n_a = sum(p < ncols for p in pivots)
-    fresh = [live[p - ncols] for p in pivots[n_a:]]
-    width = ncols + len(fresh)
-    slots = pivots[:n_a] + list(range(ncols, width))
-    xs = [(1, [0] * width) for _ in rhs]
-    for j, s in enumerate(live):
-        xs[s] = _read_off(rows, pivots, ncols + j, slots, width)
-    # the rows pivoting on adjoined columns are zero on A's, so no kernel
-    # vector needs them
-    return fresh, xs, _null_vectors(rows[:n_a], pivots[:n_a], ncols, width)
+    return solve_right(list(zip(*rows)) or [()] * width, ()).kernel()

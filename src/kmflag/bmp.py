@@ -32,14 +32,17 @@ claim: it recomputes the sections over {y < w} from scratch, as the
 kernel of the edge equations, and covers their image at every support
 vertex.
 
-The stalks are the sheaf's own ModuleAmbients, filled in as the sweep
-goes, and an edge's module is its lower stalk modulo the label.
-ModuleAmbient.reduce_free pushes a stalk component into an edge module, and
-the boundary module at w is the sum over the edges into w, read off the
-graph's incidence table; an edge from off the support has a zero lower
-stalk and adds nothing.  A new generator's restrictions are the slices of
-its boundary row.  The sweep keys its per-vertex data (the generators'
-vectors and the count of unprocessed upper edges) by ideal position.
+A stalk's module is free on its shifts, and an edge's module is its lower
+stalk modulo the label.  ModuleAmbient.reduce_free pushes a stalk component
+into an edge module, and the boundary module at w is the sum over the edges
+into w, read off the graph's incidence table; an edge from off the support
+has a zero lower stalk and adds nothing.  Every one of these ambients comes
+from graded_algebra.module_ambient, which shares one ambient per layout (the
+pieces' shifts and labels) across vertices, degrees, bases and sheaves, so
+each layout's degree tables are built once per process.  A new generator's
+restrictions are the slices of its boundary row.  The sweep keys its
+per-vertex data (the generators' vectors and the count of unprocessed upper
+edges) by ideal position.
 
 The sweep stops at an even degree cap, by default L + 4 rounded up to
 even, where L = max length - l(base).  A stalk generator of degree d stands
@@ -48,14 +51,18 @@ deg Q_{x,w} <= (l(w) - l(x) - 1)/2, so no generator should lie above degree
 L - 1.  That bound is assumed, not proved here: generators above the cap are
 never seen.  The cap-boundary sentinel in cover_step guards it, raising
 CapBoundaryGenerator for any stalk generator within one even step of the
-cap.  The kernel step runs without it: a section generator born near the
-cap is legitimate.
+cap; when it fires, compute_bmp appends the vertex (" at <word>") to its
+message.  The kernel step runs without it: a section generator born near
+the cap is legitimate.  A step reads off only what it uses: the lifts at
+every vertex, the kernel only at a vertex with upper edges, and the kernel
+step only which kernel vectors are new; a vertex with no upper edges skips
+the degrees that offer no candidate.
 """
 
 from __future__ import annotations
 
-from .errors import BaseNotVertex, IntervalNotContained, NotInIdeal
-from .graded_algebra import CyclicPiece, ModuleAmbient, cover_step
+from .errors import BaseNotVertex, CapBoundaryGenerator, IntervalNotContained, NotInIdeal
+from .graded_algebra import ModuleAmbient, cover_step, module_ambient
 from .kl import KLTable, QPoly
 from .moment_graph import Edge, MomentGraph
 # bruhat_leq stays bound here: perfbench's tracer test rebinds it by this name
@@ -81,15 +88,13 @@ class GraphSheaf:
         self.degree_cap = degree_cap
 
     def vertex_ambient(self, v) -> ModuleAmbient:
-        return ModuleAmbient(
-            self.graph.datum.rank, [CyclicPiece(s) for s in self.vertex_shifts[v]]
+        return module_ambient(
+            self.graph.datum.rank, tuple((s, None) for s in self.vertex_shifts[v])
         )
 
     def edge_ambient(self, e: Edge) -> ModuleAmbient:
-        return ModuleAmbient(
-            self.graph.datum.rank,
-            [CyclicPiece(s, e.label) for s in self.vertex_shifts[e.lower]],
-        )
+        shifts = self.vertex_shifts[e.lower]
+        return module_ambient(self.graph.datum.rank, tuple((s, e.label) for s in shifts))
 
 
 class BMPSheaf(GraphSheaf):
@@ -179,8 +184,9 @@ def compute_bmp(
         d_edges = graph.in_edges[k]
         lows = [position(e.lower) for e in d_edges]
         edge_ambs = [sheaf.edge_ambient(e) for e in d_edges]
-        boundary = ModuleAmbient(
-            graph.datum.rank, [p for amb in edge_ambs for p in amb.pieces]
+        boundary = module_ambient(
+            graph.datum.rank,
+            tuple((s, e.label) for e in d_edges for s in shifts[e.lower]),
         )
 
         # stalk generators (degree, boundary row) and kernel generators
@@ -192,6 +198,8 @@ def compute_bmp(
         for d in degrees:
             # a generator's boundary row is its edge images in edge order
             cands = [vecs for deg, vecs in gens if deg == d]
+            if not cands and not pending[k]:
+                continue  # no new stalk generator, and no section to carry up
             rows = []
             for vecs in cands:
                 row = []
@@ -204,23 +212,26 @@ def compute_bmp(
             # the fresh rows appended they are the new stalk's degree-d
             # basis, (generator, monomial) ordered, and each candidate
             # lifts through it: an S-multiple lifts by the same multiple
-            fresh, lifts, kernel = cover_step(
-                boundary, new_gens, rows, d, cap, new_store,
-                where=f" at {format_word(w)}",
-            )
-            shifts[w] = tuple(s for s, _ in new_gens)
-            for vecs, (scale, lift) in zip(cands, lifts):
+            try:
+                system = cover_step(boundary, new_gens, rows, d, cap, new_store)
+            except CapBoundaryGenerator as exc:
+                exc.args = (f"{exc} at {format_word(w)}",)
+                raise
+            if system.fresh:
+                shifts[w] = tuple(s for s, _ in new_gens)
+            for vecs, (scale, lift) in zip(cands, system.lifts()):
                 if scale != 1:
                     for j in vecs:
                         vecs[j] = [scale * c for c in vecs[j]]
                 if any(lift):
                     vecs[k] = lift
-            if kernel and pending[k]:
-                # sections born at w, needed only if w has upper edges: the
-                # kernel vectors outside S_2 K_{d-2}
-                born, _, _ = cover_step(
+            # sections born at w, needed only if w has upper edges: the
+            # kernel vectors outside S_2 K_{d-2}
+            kernel = system.kernel() if pending[k] else ()
+            if kernel:
+                born = cover_step(
                     sheaf.vertex_ambient(w), kernel_gens, kernel, d, store=kernel_store
-                )
+                ).fresh
                 gens.extend((d, {k: kernel[i]}) for i in born)
 
         # a new generator restricts to e by its boundary row's slice on e
@@ -228,8 +239,9 @@ def compute_bmp(
         for d, vec in new_gens:
             start = 0
             for image, amb in zip(images, edge_ambs):
-                image.append(vec[start : start + amb.dim(d)])
-                start += amb.dim(d)
+                end = start + amb.dim(d)
+                image.append(vec[start:end])
+                start = end
         restrictions.update(zip(d_edges, images))
 
         for j in lows:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -411,5 +412,17 @@ def main(argv=None, out=None) -> int:
     return status
 
 
+def run() -> None:
+    """Process entry point of `python -m kmflag.cli` and the `kmflag` script:
+    exit with main()'s status.  Once main() has written its document, every
+    live object is moved to the permanent generation (gc.freeze), so the
+    collection at interpreter shutdown has nothing left to scan; streams are
+    still flushed, atexit handlers run and modules are torn down.  main()
+    itself leaves the collector alone, for in-process callers."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

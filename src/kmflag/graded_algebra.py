@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._linalg import solve_right
+from ._linalg import Elimination, solve_right
 from ._value import Value
 from .errors import CapBoundaryGenerator, DegreeMismatch
 
@@ -142,15 +142,6 @@ class LinearQuotient:
             self._mulmaps[key] = got
         return got
 
-    def reduce_vec_indexed(self, vec, k: int):
-        out = [0] * self.dim(k)
-        rmap = self.reduce_map_indexed(k)
-        for i, c in enumerate(vec):
-            if c:
-                for tgt, f in rmap[i]:
-                    out[tgt] += c * f
-        return out
-
     def mul_var_map(self, k: int, var: int) -> tuple:
         """Multiplication by x_var from reduced degree k to reduced degree
         k+1, as ((target, coeff), ...) per source monomial: t^m goes to
@@ -190,7 +181,14 @@ class CyclicPiece(Value):
 
 
 class ModuleAmbient:
-    """A finite direct sum of cyclic pieces with degreewise coordinates."""
+    """A finite direct sum of cyclic pieces with degreewise coordinates.
+
+    A piece of shift s has, in degree d, the slice of its quotient's
+    polynomial degree (d - s)/2, and none when that is negative or not an
+    integer.  One table per degree, built once, holds the slice sizes and
+    where each piece starts in a flattened vector, and one per degree and
+    variable the multiplication blocks; module_ambient shares one ambient
+    per layout, so a process builds each table once."""
 
     def __init__(self, nvars: int, pieces):
         self.nvars = nvars
@@ -200,69 +198,83 @@ class ModuleAmbient:
             linear_quotient(nvars, tuple(p.annihilator or (0,) * nvars))
             for p in self.pieces
         )
-        self._dims: dict[int, tuple] = {}
+        self._slices: dict[int, tuple] = {}
+        self._mul: dict = {}
 
-    def _piece_k(self, piece: CyclicPiece, d: int):
-        """Polynomial degree of the degree-d slice of a piece, or None."""
-        rel = d - piece.shift
-        if rel < 0 or rel % 2:
-            return None
-        return rel // 2
-
-    def piece_dim(self, t: int, d: int) -> int:
-        k = self._piece_k(self.pieces[t], d)
-        if k is None:
-            return 0
-        return self.quotients[t].dim(k)
-
-    def dims(self, d: int) -> tuple:
-        """Per-piece dimensions of the degree-d slice, computed once."""
-        got = self._dims.get(d)
+    def _slice(self, d: int) -> tuple:
+        """The degree-d table: (dim, per-piece dims, per-piece offsets in a
+        flattened vector, (piece index, k) per live piece), k the polynomial
+        degree of the piece's slice."""
+        got = self._slices.get(d)
         if got is None:
-            got = tuple(self.piece_dim(t, d) for t in range(len(self.pieces)))
-            self._dims[d] = got
+            dims, offsets, live = [], [], []
+            pos = 0
+            for t, (p, q) in enumerate(zip(self.pieces, self.quotients)):
+                rel = d - p.shift
+                n = q.dim(rel // 2) if rel >= 0 and rel % 2 == 0 else 0
+                if n:
+                    live.append((t, rel // 2))
+                dims.append(n)
+                offsets.append(pos)
+                pos += n
+            got = self._slices[d] = (pos, tuple(dims), tuple(offsets), tuple(live))
         return got
 
+    def dims(self, d: int) -> tuple:
+        """Per-piece dimensions of the degree-d slice."""
+        return self._slice(d)[1]
+
     def dim(self, d: int) -> int:
-        return sum(self.dims(d))
+        return self._slice(d)[0]
 
     def reduce_free(self, vec, d: int):
         """Image of a flattened degree-d vector of the free module on the
         same shifts: each live block is reduced by its piece's quotient."""
-        out = []
+        dim, _, offsets, live = self._slice(d)
+        out = [0] * dim
         pos = 0
-        for piece, q in zip(self.pieces, self.quotients):
-            k = self._piece_k(piece, d)
-            if k is None:
-                continue
-            size = len(self.ring.monomials(k))
-            block = vec[pos : pos + size]
-            pos += size
-            out.extend(q.reduce_vec_indexed(block, k))
+        for t, k in live:
+            tgt = offsets[t]
+            rows = self.quotients[t].reduce_map_indexed(k)
+            for c, row in zip(vec[pos : pos + len(rows)], rows):
+                if c:
+                    for j, f in row:
+                        out[tgt + j] += c * f
+            pos += len(rows)
         return out
 
     def mul_var_vec(self, vec, d: int, var: int):
         """Multiply a flattened degree-d vector by x_var (degree d+2)."""
-        sdims = self.dims(d)
-        tdims = self.dims(d + 2)
-        out = [0] * sum(tdims)
-        src_pos = 0
-        tgt_pos = 0
-        for t, piece in enumerate(self.pieces):
-            sdim = sdims[t]
-            if not sdim:
-                tgt_pos += tdims[t]
-                continue
-            k = (d - piece.shift) // 2
-            rows = self.quotients[t].mul_var_map(k, var)
-            for i in range(sdim):
-                c = vec[src_pos + i]
+        got = self._mul.get((d, var))
+        if got is None:
+            # per live piece: where it starts in degrees d and d + 2, and
+            # its quotient's multiplication rows
+            offsets, live = self._slice(d)[2:]
+            dim, _, targets, _ = self._slice(d + 2)
+            got = self._mul[d, var] = dim, tuple(
+                (offsets[t], targets[t], self.quotients[t].mul_var_map(k, var))
+                for t, k in live
+            )
+        dim, blocks = got
+        out = [0] * dim
+        for src, tgt, rows in blocks:
+            for c, row in zip(vec[src : src + len(rows)], rows):
                 if c:
-                    for tgt, f in rows[i]:
-                        out[tgt_pos + tgt] += c * f
-            src_pos += sdim
-            tgt_pos += tdims[t]
+                    for j, f in row:
+                        out[tgt + j] += c * f
         return out
+
+
+# one ambient per layout: verify-kl and multiplicities over every base meet
+# 92 layouts on affine A1 (l <= 8) and 69 on G2 (l <= 6), which stay whole;
+# on wider inputs (B3 645, A4 1,098, affine C2 2,463) the least recently
+# used give way, which keeps the process within about a MiB of its size
+# without the cache
+@lru_cache(maxsize=128)
+def module_ambient(nvars: int, layout: tuple) -> ModuleAmbient:
+    """The shared ModuleAmbient of a layout, a tuple of (shift, annihilator)
+    pairs, one per piece."""
+    return ModuleAmbient(nvars, [CyclicPiece(s, a) for s, a in layout])
 
 
 class GradedModuleRep:
@@ -321,29 +333,27 @@ def monomial_multiples(amb: ModuleAmbient, gens, d: int, store=None) -> list:
 
 
 def cover_step(amb: ModuleAmbient, gens: list, candidates, d: int,
-               cap: int | None = None, store=None, where: str = ""):
+               cap: int | None = None, store=None) -> Elimination:
     """One degree of a graded projective cover of a submodule M: one
     solve_right of [lower | candidates].
 
     gens lists the (degree, vector) generators of M found below d, and
     lower their monomial_multiples (kept in store), which span
     (S+ M)_d = S_2 * M_{d-2}; candidates are degree-d vectors of M.
-    Returns solve_right's (fresh, xs, kernel) as is: fresh indexes the
-    candidates that enlarge the span, the new generators, appended to gens
-    as (d, vector); the (scale, x) lifts and the kernel are over lower
-    followed by those candidates.  With a cap, a generator within one even
-    step of it means the answer cannot be trusted, and raises
-    CapBoundaryGenerator; where is appended to that error's message.
+    Returns solve_right's Elimination: its fresh indexes the candidates
+    that enlarge the span, the new generators, appended to gens as
+    (d, vector); its lifts and kernel are over lower followed by those
+    candidates, read off only if the caller asks.  With a cap, a generator
+    within one even step of it means the answer cannot be trusted, and
+    raises CapBoundaryGenerator.
     """
-    lower = monomial_multiples(amb, gens, d, store)
-    a_rows = [[col[r] for col in lower] for r in range(amb.dim(d))]
-    fresh, xs, kernel = solve_right(a_rows, candidates, len(lower))
-    if fresh and cap is not None and d >= cap - 2:
+    system = solve_right(monomial_multiples(amb, gens, d, store), candidates)
+    if system.fresh and cap is not None and d >= cap - 2:
         raise CapBoundaryGenerator(
-            f"generator in degree {d} within one step of cap {cap}{where}"
+            f"generator in degree {d} within one step of cap {cap}"
         )
-    gens.extend((d, candidates[i]) for i in fresh)
-    return fresh, xs, kernel
+    gens.extend((d, candidates[i]) for i in system.fresh)
+    return system
 
 
 def minimal_generators(module: GradedModuleRep):

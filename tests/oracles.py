@@ -306,16 +306,17 @@ class KLOracle:
         return out
 
 
-def back_substitution_q(table) -> dict:
-    """Every Q_{x,w} of a KLTable's ideal, keyed by position pairs, by the
-    unitriangular back-substitution
+def back_substitution_q(table, columns=None) -> dict:
+    """Every Q_{x,w} of a KLTable's ideal, or those of the given column
+    positions w, keyed by position pairs, by the unitriangular
+    back-substitution
     Q_{x,w} = sum_{x < y <= w} (-1)^{l(y)-l(x)+1} P_{x,y} Q_{y,w}
     over the whole interval, with P read from the table.  Positions follow
     Bruhat order, so x descending meets every Q_{y,w} before it is used."""
     below = table.ideal.below
     length = [w.length() for w in table.ideal.elements]
     q = {}
-    for w in range(len(length)):
+    for w in range(len(length)) if columns is None else columns:
         q[w, w] = QPoly((1,))
         for x in range(w - 1, -1, -1):
             acc = QPoly()

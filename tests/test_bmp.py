@@ -17,6 +17,7 @@ from kmflag.errors import (
     IntervalNotContained,
     NotSymmetrizable,
 )
+from kmflag.graded_algebra import module_ambient
 from kmflag.kl import KLTable, QPoly
 from kmflag.moment_graph import build_moment_graph
 from kmflag.root_datum import validate_cartan
@@ -223,6 +224,23 @@ def test_dual_graph_same_ranks(a2, a2_graph, b2, b2_group, b2_graph):
     for primal, dual in duals:
         for base in primal.vertices:
             assert compute_bmp(primal, base).stalks == compute_bmp(dual, base).stalks
+
+
+@pytest.mark.parametrize("cartan", [B2, G2], ids=["b2", "g2"])
+def test_shared_layouts_give_the_same_sheaves(cartan):
+    # every sheaf, plain and dual graph, built with the layout cache warm
+    # and with it emptied before the base: the same shifts and restrictions
+    datum = validate_cartan(cartan)
+    group = full_weyl_group(datum)
+    for dual in (False, True):
+        graph = build_moment_graph(datum, group, dual=dual)
+        warm = [compute_bmp(graph, base) for base in graph.vertices]
+        assert module_ambient.cache_info().hits
+        for sheaf in warm:
+            module_ambient.cache_clear()
+            cold = compute_bmp(graph, sheaf.base)
+            assert cold.vertex_shifts == sheaf.vertex_shifts, format_word(sheaf.base)
+            assert cold.restrictions == sheaf.restrictions, format_word(sheaf.base)
 
 
 def test_cap_boundary_guard(a3, a3_graph):

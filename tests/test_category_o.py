@@ -232,6 +232,20 @@ def test_bgg_reciprocity_exact(cartan):
                 assert value == 0
 
 
+def test_bgg_reciprocity_affine_c2():
+    # affine C2, where mu >= 2 first changes P and Q at l = 9; at l <= 6 the
+    # table of all projective multiplicities takes about a second
+    datum = validate_cartan([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])
+    ideal = enumerate_ideal(datum, 6)
+    table = KLTable(ideal)
+    blk = antidominant_block(datum, ideal)
+    sheaves = SheafTable(build_moment_graph(datum, ideal, dual=True))
+    for w in ideal:
+        for x in ideal:
+            value = projective_verma_multiplicity(blk, w, x, sheaves, table)
+            assert value == table.inverse_kl(w, x)(1)
+
+
 def test_projective_multiplicity_predicates(a2, a2_group, a2_table):
     sheaves = SheafTable(build_moment_graph(a2, a2_group, dual=True))
     e = identity(a2)

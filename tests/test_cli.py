@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -319,11 +320,19 @@ def test_rank3_cli_runs_are_byte_identical(tmp_path_factory, pairs):
         assert run_cli(*args) == first, command
 
 
-GOLDEN_CARTANS = {"a2": [[2, -1], [-1, 2]], "affine_a1": [[2, -2], [-2, 2]]}
+GOLDEN_CARTANS = {
+    "a2": [[2, -1], [-1, 2]],
+    "affine_a1": [[2, -2], [-2, 2]],
+    "affine_c2": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+}
 
 #: stdout SHA-256 of every command on A2 (l <= 3) and affine A1 (l <= 4), in
-#: each format and with --dual / --verify where the command offers them
+#: each format and with --dual / --verify where the command offers them;
+#: and the paper's check on affine C2 (l <= 9), the smallest input found
+#: where mu >= 2 changes inverse KL polynomials (status 0: all_match)
 GOLDEN = (
+    ("affine_c2", "verify-kl --max-length 9 --base e",
+     "e06b2a35382b773ca9b82bccb1d8fbbdd5b20667a2860c37ddfc6b5200d077d0"),
     ("a2", "roots",
      "f79fc035a21e5d5ba9e4f92393981b05ceaf02c8a28ded757d3d8f1f2e819e63"),
     ("a2", "weyl-ideal --max-length 3",
@@ -465,6 +474,55 @@ def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
     # rationals appear only in category O's weights
     rational = command in ("characters", "multiplicities")
     assert ("fractions" in loaded) == ("decimal" in loaded) == rational
+
+
+#: how each entry point is started: `python -m kmflag.cli`, and the console
+#: script's function (the script itself is not installed here)
+ENTRY_POINTS = {
+    "module": ["-m", "kmflag.cli"],
+    "script": ["-c", "from kmflag.cli import run; run()"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_process_exit_path(tmp_path, entry):
+    # gc.freeze() runs after main() has written its document: the bytes and
+    # the status are main()'s, on success and on a resource-guard error
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"cartan": GOLDEN_CARTANS["a2"]}))
+    env = {k: v for k, v in os.environ.items() if k != "KMFLAG_SIZE_LIMIT"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kmflag.__file__))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, *ENTRY_POINTS[entry], args[0], "--cartan", str(path),
+             *args[1:]],
+            env=env, capture_output=True,
+        )
+
+    args = "bmp --max-length 3 --base 1 --verify"
+    done = cli(*args.split())
+    assert done.returncode == 0, done.stderr
+    sha = {a: h for c, a, h in GOLDEN if c == "a2"}[args]
+    assert hashlib.sha256(done.stdout).hexdigest() == sha
+    done = cli("bmp", "--max-length", "3", "--base", "e", "--degree-cap-override", "2")
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.decode() == json.dumps(
+        {
+            "error_code": "CapBoundaryGenerator",
+            "message": "generator in degree 0 within one step of cap 2 at 1",
+        },
+        indent=2,
+    ) + "\n"
+    assert done.stderr == b""
+
+
+def test_main_leaves_the_collector_alone(a2_file):
+    frozen = gc.get_freeze_count()
+    assert run_cli("verify-kl", "--cartan", a2_file, "--max-length", "3")[0] == 0
+    assert run_cli("bmp", "--cartan", a2_file, "--max-length", "3",
+                   "--degree-cap-override", "2")[0] == 3
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from kmflag.weyl import (
     from_word,
     identity,
     multiply,
+    parse_word,
     simple_reflection,
 )
 
@@ -22,6 +25,16 @@ from oracles import KLOracle, back_substitution_q
 HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 # rank-3 hyperbolic whose P has pairs with mu = 2 from l = 5 on
 HYPERBOLIC_MU2 = [[2, -1, -1], [-1, 2, -2], [-1, -2, 2]]
+# its Q columns at l <= 10 where a mu = 2 term of the Hecke product changes
+# an entry (setting every mu to 1 there changes one entry in each)
+HYPERBOLIC_MU2_COLUMNS = (
+    "2,1,3,2,3,1,2,1,3,1", "2,3,1,2,3,1,2,1,3,1",
+    "3,1,2,3,2,1,3,1,2,1", "3,2,1,3,2,1,3,1,2,1",
+)
+AFFINE_C2 = [[2, -1, 0], [-2, 2, -2], [0, -1, 2]]
+# sha256 of every "y w P Q" line of affine C2 (l <= 9), y <= w by position;
+# KLOracle agreed with the table on all 14,641 pairs when it was pinned
+AFFINE_C2_DIGEST = "b778c271d76fa3dbf298b63e6ba825f9aa3fe1b46e47bbf77f6ef328caee6ab3"
 
 
 @pytest.fixture(scope="module")
@@ -143,17 +156,42 @@ def test_inverse_kl_matches_oracle_inversion(request):
         ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9),
         ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 5),
         (HYPERBOLIC3, 6),
-        (HYPERBOLIC_MU2, 5),
+        (HYPERBOLIC_MU2, 10),
     ],
     ids=["b3", "affine_a2", "hyperbolic3", "hyperbolic_mu2"],
 )
 def test_inverse_kl_columns_match_back_substitution(cartan, max_length):
-    # Q by columns against the sum over whole intervals, on the same P
-    ideal = enumerate_ideal(validate_cartan(cartan), max_length)
+    # Q by columns against the sum over whole intervals, on the same P; the
+    # 748 elements of the mu = 2 case are too many for every column
+    datum = validate_cartan(cartan)
+    ideal = enumerate_ideal(datum, max_length)
+    columns = None
+    if cartan is HYPERBOLIC_MU2:
+        columns = [ideal.position(parse_word(datum, w)) for w in HYPERBOLIC_MU2_COLUMNS]
     table = KLTable(ideal)
-    expected = back_substitution_q(KLTable(ideal))
+    expected = back_substitution_q(KLTable(ideal), columns)
     for (x, w), q in expected.items():
         assert table._inv(x, w) == q, (x, w)
+
+
+def test_affine_c2_reads_mu_above_one():
+    # the smallest input found where mu >= 2 changes P and Q: with every mu
+    # set to 1, P breaks the degree bound and Q gets a negative coefficient
+    ideal = enumerate_ideal(validate_cartan(AFFINE_C2), 9)
+    table = KLTable(ideal)
+    els, below = ideal.elements, ideal.below
+    assert len(els) == 121
+    mus = [m for v in range(len(els)) for _, m, _ in table._mu_list(v)]
+    assert sum(m >= 2 for m in mus) == 17 and max(mus) == 3
+    h = hashlib.sha256()
+    for w in range(len(els)):
+        for y in range(len(els)):
+            if below[w] >> y & 1:
+                h.update(
+                    f"{format_word(els[y])} {format_word(els[w])} "
+                    f"{table._kl(y, w).coeffs} {table._inv(y, w).coeffs}\n".encode()
+                )
+    assert h.hexdigest() == AFFINE_C2_DIGEST
 
 
 def test_inverse_kl_longest_element_duality(a3_group, a3_table):

@@ -84,7 +84,8 @@ def _check_solve_right(rows, rhs, ncols):
     every lift (scale, x) has an int vector x with A' x = scale * b and free
     coordinates zero, scale is the least denominator of the oracle's
     solution over Q, and the kernel is that of A'."""
-    fresh, xs, kernel = solve_right(rows, rhs, ncols)
+    system = solve_right(list(zip(*rows)) or [()] * ncols, rhs)
+    fresh, xs, kernel = system.fresh, system.lifts(), system.kernel()
     aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     _, pivots = rref_over_q(aug, ncols + len(rhs))
     assert fresh == [p - ncols for p in pivots if p >= ncols]
