@@ -23,9 +23,10 @@ it before the lift joins them, which keeps its span over Q and the stalks.
 Every section then extends to w, an S-multiple by the same multiple of
 its generator's lift, and the sections born at w are the kernel; its
 generators are the degree-d kernel vectors outside S_2 K_{d-2}, found by
-a second cover_step in the free stalk.  A generator's vector at a vertex
-is dropped once the upper ends of all that vertex's edges are processed,
-and the generator once all its vectors are.  The image over the processed
+a second cover_step in the free stalk where counting cannot decide them
+(below).  A generator's vector at a vertex is dropped once the upper ends
+of all that vertex's edges are processed, and the generator once all its
+vectors are.  The image over the processed
 prefix equals the image over {y < w} because the canonical sheaf is
 flabby.  The oracle bmp_cover_degrees in tests/oracles.py checks that
 claim: it recomputes the sections over {y < w} from scratch, as the
@@ -57,6 +58,26 @@ the cap is legitimate.  A step reads off only what it uses: the lifts at
 every vertex, the kernel only at a vertex with upper edges, and the kernel
 step only which kernel vectors are new; a vertex with no upper edges skips
 the degrees that offer no candidate.
+
+Counting decides the sections born at w in most degrees (_born_by_count);
+the kernel read-off and the second cover_step run only where it cannot.
+Let K be the kernel of the stalk F(w) onto the image.  Each rule is a fact
+about free modules, so the sheaf is the same with or without it.
+1. K_d = 0 when the older stalk generators' degree-d multiples have no free
+   column, for dim K_d is their number of free columns (ncols - n_a of the
+   main step's elimination).  Nothing is born, and nothing is read off.
+2. Before K has a generator there is nothing to divide out: every vector
+   of K_d's basis is a new generator, appended in basis order, as cover_step
+   would append them.
+3. While the stalk is free on one generator g, K is principal.  An edge
+   module F(y)/alpha_e F(y) is free over the domain S/(alpha_e), as F(y) is
+   free over S, so f g vanishes on the edge e exactly when g does or
+   alpha_e divides f; hence K = (prod alpha_e) S g, the product over the
+   edges where g does not vanish.  Once K's generator is found nothing
+   more is born at w while the rank stays 1, and a degree with no
+   candidate is skipped outright: it can give no lift and no stalk
+   generator, and the cap sentinel fires only on fresh candidates.  At
+   rank 2 or more K need not be principal, and the elimination decides.
 """
 
 from __future__ import annotations
@@ -152,6 +173,20 @@ def _support_in_order(graph, base, order):
     return given
 
 
+def _born_by_count(rank: int, found: int, free: int | None = None):
+    """What counting says of the sections born at a vertex in one degree d:
+    False if none is, True if every vector of the kernel basis is, None if
+    only an elimination can tell.  rank and found count the stalk's and the
+    kernel's generators so far, and free is dim K_d, the free columns of the
+    older stalk generators' multiples, when known (see the module docstring
+    for the three rules)."""
+    if free == 0 or (rank == 1 and found):
+        return False  # rule 1: K_d = 0; rule 3: K = S * its one generator
+    if not found:
+        return True  # rule 2: nothing to divide out
+    return None
+
+
 def compute_bmp(
     graph: MomentGraph,
     base: WeylElement,
@@ -198,8 +233,10 @@ def compute_bmp(
         for d in degrees:
             # a generator's boundary row is its edge images in edge order
             cands = [vecs for deg, vecs in gens if deg == d]
-            if not cands and not pending[k]:
-                continue  # no new stalk generator, and no section to carry up
+            if not cands and (
+                not pending[k] or _born_by_count(len(new_gens), len(kernel_gens)) is False
+            ):
+                continue  # no new stalk generator, and no section born or carried up
             rows = []
             for vecs in cands:
                 row = []
@@ -226,13 +263,24 @@ def compute_bmp(
                 if any(lift):
                     vecs[k] = lift
             # sections born at w, needed only if w has upper edges: the
-            # kernel vectors outside S_2 K_{d-2}
-            kernel = system.kernel() if pending[k] else ()
-            if kernel:
+            # kernel vectors outside S_2 K_{d-2}, by counting where that
+            # decides and by a second cover_step where it does not
+            if not pending[k]:
+                continue
+            decided = _born_by_count(
+                len(new_gens), len(kernel_gens), system.ncols - system.n_a
+            )
+            if decided is False:
+                continue
+            kernel = system.kernel()
+            if decided:
+                kernel_gens.extend((d, vec) for vec in kernel)
+                born = range(len(kernel))
+            else:
                 born = cover_step(
                     sheaf.vertex_ambient(w), kernel_gens, kernel, d, store=kernel_store
                 ).fresh
-                gens.extend((d, {k: kernel[i]}) for i in born)
+            gens.extend((d, {k: kernel[i]}) for i in born)
 
         # a new generator restricts to e by its boundary row's slice on e
         images = [[] for _ in d_edges]

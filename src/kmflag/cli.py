@@ -97,6 +97,11 @@ def _word(el) -> str:
     return weyl_mod.format_word(el)
 
 
+def _words(ideal) -> dict:
+    """Every element's word, formatted once: element -> word."""
+    return {el: weyl_mod.format_word(el) for el in ideal}
+
+
 # -- command implementations -------------------------------------------------
 
 
@@ -134,23 +139,19 @@ def _cmd_kl(ns):
     table = KLTable(ideal)
     # position-keyed entry points: the pairs y <= w are read off the bitsets
     poly = table._inv if ns.command == "inverse-kl" else table._kl
-    els, below = ideal.elements, ideal.below
+    words, below = [_word(el) for el in ideal], ideal.below
     rows = [
-        (els[y], els[w], poly(y, w))
-        for y in range(len(els))
-        for w in range(len(els))
+        (words[y], words[w], poly(y, w))
+        for y in range(len(words))
+        for w in range(len(words))
         if below[w] >> y & 1
     ]
     if ns.format == "csv":
         return EXIT_OK, _csv_doc(
-            ("y_word", "w_word", "polynomial"),
-            [(_word(y), _word(w), p.text()) for y, w, p in rows],
+            ("y_word", "w_word", "polynomial"), [(y, w, p.text()) for y, w, p in rows]
         )
     return EXIT_OK, _json_doc(
-        [
-            {"y": _word(y), "w": _word(w), "coeffs": list(p.coeffs)}
-            for y, w, p in rows
-        ]
+        [{"y": y, "w": w, "coeffs": list(p.coeffs)} for y, w, p in rows]
     )
 
 
@@ -159,26 +160,27 @@ def _cmd_moment_graph(ns):
 
     datum, ideal = _load_ideal(ns)
     graph = build_moment_graph(datum, ideal, dual=ns.dual)
+    words = _words(ideal)
     doc = {
         "dual": ns.dual,
-        "vertices": [_word(v) for v in graph.vertices],
+        "vertices": [words[v] for v in graph.vertices],
         "edges": [
-            {"lower": _word(e.lower), "upper": _word(e.upper), "label": list(e.label)}
+            {"lower": words[e.lower], "upper": words[e.upper], "label": list(e.label)}
             for e in graph.edges
         ],
-        "covers": [[_word(y), _word(x)] for y, x in covering_relations(ideal)],
+        "covers": [[words[y], words[x]] for y, x in covering_relations(ideal)],
     }
     return EXIT_OK, _json_doc(doc)
 
 
-def _verification(sheaf, table):
+def _verification(sheaf, table, words):
     """The inverse-KL check of one sheaf as emitted: entries, then all_match."""
     from .bmp import verify_against_inverse_kl
 
     report = verify_against_inverse_kl(sheaf, table)
     entries = [
         {
-            "vertex": _word(entry.vertex),
+            "vertex": words[entry.vertex],
             "stalk": list(entry.stalk.coeffs),
             "inverse_kl": list(entry.inverse_kl.coeffs),
             "match": entry.match,
@@ -197,14 +199,15 @@ def _cmd_bmp(ns):
     graph = build_moment_graph(datum, ideal, dual=ns.dual)
     base = _parse_element(datum, ns.base or "e", "--base")
     sheaf = compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
+    words = _words(ideal)
     doc = {
-        "base": _word(base),
+        "base": words[base],
         "dual": ns.dual,
-        "stalks": {_word(v): list(sheaf.stalks[v]) for v in graph.vertices},
+        "stalks": {words[v]: list(sheaf.stalks[v]) for v in graph.vertices},
     }
     status = EXIT_OK
     if ns.verify:
-        doc["report"] = _verification(sheaf, KLTable(ideal))
+        doc["report"] = _verification(sheaf, KLTable(ideal), words)
         if not doc["report"]["all_match"]:
             status = EXIT_VERIFICATION
     return status, _json_doc(doc)
@@ -222,10 +225,11 @@ def _cmd_verify_kl(ns):
         bases = [_parse_element(datum, ns.base, "--base")]
     else:
         bases = list(graph.vertices)
+    words = _words(ideal)
     reports = []
     for base in bases:
         sheaf = compute_bmp(graph, base, degree_cap=ns.degree_cap_override)
-        reports.append({"base": _word(base), **_verification(sheaf, table)})
+        reports.append({"base": words[base], **_verification(sheaf, table, words)})
     ok = all(report["all_match"] for report in reports)
     doc = {"bases": reports, "all_match": ok}
     return (EXIT_OK if ok else EXIT_VERIFICATION), _json_doc(doc)
@@ -281,11 +285,12 @@ def _cmd_multiplicities(ns):
     block = classify_weight(datum, pairings, ideal)
     table = KLTable(ideal)
     sheaves = SheafTable(build_moment_graph(datum, ideal, dual=True))
+    words = _words(ideal).items()
     rows = []
-    for w in ideal:
-        for x in ideal:
+    for w, w_word in words:
+        for x, x_word in words:
             value = projective_verma_multiplicity(block, w, x, sheaves, table)
-            rows.append((_word(w), _word(x), value))
+            rows.append((w_word, x_word, value))
     if ns.format == "csv":
         return EXIT_OK, _csv_doc(("w_word", "x_word", "multiplicity"), rows)
     return EXIT_OK, _json_doc(
@@ -344,10 +349,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command=None) -> _Parser:
+    """The parser with the subparser of the given command alone, or of every
+    command when it names none (help, a missing or an unknown command), so
+    the listing and the error messages name them all."""
     parser = _Parser(prog="kmflag", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options) in _COMMANDS.items():
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        handler, options = _COMMANDS[name]
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in ("--cartan", "--size-limit", *options):
             p.add_argument(flag, **_OPTIONS[flag])
@@ -396,9 +405,10 @@ def _merge_negative_values(argv):
 
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = _build_parser()
+    args = _merge_negative_values(argv)
+    parser = _build_parser(args[0] if args else None)
     try:
-        ns = parser.parse_args(_merge_negative_values(argv))
+        ns = parser.parse_args(args)
         _check_options(ns)
         status, doc = ns.handler(ns)
     except (_CliError, ToolkitError, ValueError) as exc:

@@ -30,6 +30,7 @@ intervals [y, w] off the ideal's tables; no Weyl element is multiplied.
 
 from __future__ import annotations
 
+from .errors import CrossCheckFailed
 # bruhat_leq and multiply stay bound for perfbench's tracer test
 from .weyl import BruhatIdeal, WeylElement, bruhat_leq, multiply  # noqa: F401
 
@@ -219,9 +220,9 @@ class KLTable:
                         _add(acc, p[y, z].coeffs, h, -m)
                 poly = QPoly(acc)
                 if any(c < 0 for c in poly.coeffs):
-                    raise AssertionError(f"negative KL coefficient in {poly.text()}")
+                    raise CrossCheckFailed(f"negative KL coefficient in {poly.text()}")
                 if 2 * poly.degree > length[w] - length[y] - 1:
-                    raise AssertionError("KL degree bound violated")
+                    raise CrossCheckFailed("KL degree bound violated")
                 p[y, w] = poly
         mu = []
         for z in col[:-1]:
@@ -287,7 +288,7 @@ class KLTable:
             for x in _positions(below[w]):
                 poly = QPoly(col.get(x, ()))
                 if any(c < 0 for c in poly.coeffs):
-                    raise AssertionError(
+                    raise CrossCheckFailed(
                         f"negative inverse KL coefficient in {poly.text()}"
                     )
                 q[x, w] = poly

@@ -11,6 +11,7 @@ opposite.  Sheaves on these graphs live in bmp.
 from __future__ import annotations
 
 from ._value import Value
+from .errors import CrossCheckFailed
 from .root_datum import RootDatum, RootVector
 from .weyl import BruhatIdeal, WeylElement
 
@@ -64,7 +65,7 @@ def build_moment_graph(
         for e in edges:
             covec = datum.coroot_coords(e.label)
             if not dual_datum.is_real_root(covec):
-                raise AssertionError("coroot label is not a dual real root")
+                raise CrossCheckFailed("coroot label is not a dual real root")
             mapped.append(Edge(e.lower, e.upper, covec))
         edges = mapped
     edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))

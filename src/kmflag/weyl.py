@@ -19,6 +19,7 @@ from functools import cached_property
 
 from ._value import Value
 from .errors import (
+    CrossCheckFailed,
     IntervalNotContained,
     NotInIdeal,
     NotRealRoot,
@@ -113,7 +114,7 @@ class WeylElement:
             word.append(ds[0])
             w = _left_step(w, ds[0])
         if not w.is_identity():
-            raise AssertionError("descent peeling did not reach the identity")
+            raise CrossCheckFailed("descent peeling did not reach the identity")
         self._word = tuple(word)
         self._length = len(word)
 
@@ -328,7 +329,9 @@ class BruhatIdeal(Value):
             top = self.elements[-1]
             for beta, y in pairs[-1]:
                 if multiply(reflection(self.datum, beta), top) != y:
-                    raise AssertionError(f"lower pair {beta} of the last element is wrong")
+                    raise CrossCheckFailed(
+                        f"lower pair {beta} of the last element is wrong"
+                    )
         return pairs
 
     @cached_property
@@ -463,7 +466,7 @@ def inversion_set(u: WeylElement) -> set[RootVector]:
     """{alpha > 0 : u^{-1}(alpha) < 0}: the roots of the lower pairs of u."""
     out = {beta for beta, _ in _lower_pairs(u, {})}
     if len(out) != u.length():
-        raise AssertionError("inversion set size must equal the length")
+        raise CrossCheckFailed("inversion set size must equal the length")
     return out
 
 
@@ -484,7 +487,7 @@ def stratum_dimension(x: WeylElement, ideal: BruhatIdeal) -> int:
     direct = sum(1 for alpha in comp if is_positive_vector(x.apply_inverse(alpha)))
     counted = len(comp) - x.length()
     if direct != counted:
-        raise AssertionError("stratum dimension formulas disagree")
+        raise CrossCheckFailed("stratum dimension formulas disagree")
     return direct
 
 

@@ -37,6 +37,8 @@ G2 = [[2, -1], [-3, 2]]
 B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 HYPERBOLIC3 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+AFFINE_C2 = [[2, -1, 0], [-2, 2, -2], [0, -1, 2]]
+INDEFINITE3 = [[2, -1, -1], [-1, 2, -2], [-1, -2, 2]]
 
 # _sheaf_digest() of the current construction; test_sheaf_digest_pinned says
 # when a change may re-pin it
@@ -241,6 +243,54 @@ def test_shared_layouts_give_the_same_sheaves(cartan):
             cold = compute_bmp(graph, sheaf.base)
             assert cold.vertex_shifts == sheaf.vertex_shifts, format_word(sheaf.base)
             assert cold.restrictions == sheaf.restrictions, format_word(sheaf.base)
+
+
+def test_counting_rules_change_no_sheaf(b3_graph, b3_dual_graph, monkeypatch):
+    # compute_bmp decides the sections born at a vertex by counting where it
+    # can.  With the decision forced to "eliminate" at every step it runs
+    # the kernel read-off and the second cover_step everywhere, as it did
+    # before the rules; each rule's claim is checked against that
+    # elimination, and both runs give the same shifts and restriction
+    # vectors from every base
+    from kmflag import bmp
+    from kmflag.graded_algebra import cover_step
+
+    decide = bmp._born_by_count
+    claims = []
+    seen = set()
+
+    def eliminate(rank, found, free=None):
+        claims.append((found, decide(rank, found, free)))
+        return None
+
+    def checked_cover_step(amb, gens, candidates, d, cap=None, store=None):
+        system = cover_step(amb, gens, candidates, d, cap, store)
+        if cap is None:  # the kernel step
+            found, claim = claims[-1]
+            if claim is None:
+                seen.add(("fallback", found))
+            else:
+                # False: no kernel vector is new; True: every one is
+                assert system.fresh == (list(range(len(candidates))) if claim else [])
+                seen.add("rule 2" if claim else "rule 1" if not candidates else "rule 3")
+        return system
+
+    graphs = [b3_graph, b3_dual_graph]
+    for cartan, bound in ((HYPERBOLIC3, 6), (AFFINE_C2, 6), (INDEFINITE3, 5)):
+        datum = validate_cartan(cartan)
+        graphs.append(build_moment_graph(datum, enumerate_ideal(datum, bound)))
+    for graph in graphs:
+        for base in graph.vertices:
+            counted = compute_bmp(graph, base)
+            with monkeypatch.context() as patch:
+                patch.setattr(bmp, "_born_by_count", eliminate)
+                patch.setattr(bmp, "cover_step", checked_cover_step)
+                eliminated = compute_bmp(graph, base)
+            assert counted.vertex_shifts == eliminated.vertex_shifts, format_word(base)
+            assert counted.restrictions == eliminated.restrictions, format_word(base)
+    # every rule decides, and the fallback runs after one and two kernel
+    # generators
+    assert seen >= {"rule 1", "rule 2", "rule 3", ("fallback", 1), ("fallback", 2)}
 
 
 def test_cap_boundary_guard(a3, a3_graph):

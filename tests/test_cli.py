@@ -635,3 +635,76 @@ def test_roots_relabelled_untwisted_g2(tmp_path):
     assert payload["kind"] == "affine"
     assert payload["delta"] == [3, 2, 1]
     assert payload["imaginary_multiplicity"] == 2
+
+
+COMMAND_LIST = (
+    "{roots,weyl-ideal,kl,inverse-kl,moment-graph,bmp,verify-kl,characters,"
+    "multiplicities,strata}"
+)
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    # "--help" names no command, so every subparser is built
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    listing = lines.index("positional arguments:") + 1
+    assert lines[listing] == "  " + COMMAND_LIST
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("frobnicate", "--cartan", "x.json"),
+         "argument command: invalid choice: 'frobnicate' (choose from 'roots', "
+         "'weyl-ideal', 'kl', 'inverse-kl', 'moment-graph', 'bmp', 'verify-kl', "
+         "'characters', 'multiplicities', 'strata')"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_unknown_or_missing_command_message(args, message):
+    status, doc = run_cli(*args)
+    assert status == 1
+    assert json.loads(doc) == {"error_code": "UsageError", "message": message}
+
+
+def test_named_command_builds_its_subparser_alone():
+    from kmflag.cli import _COMMANDS, _build_parser
+
+    def commands(parser):
+        (action,) = parser._subparsers._group_actions
+        return list(action.choices)
+
+    assert commands(_build_parser("kl")) == ["kl"]
+    for argv0 in (None, "--help", "-h", "frobnicate"):
+        assert commands(_build_parser(argv0)) == list(_COMMANDS)
+
+
+def test_failed_internal_check_exits_two(tmp_path, monkeypatch):
+    # fault injection: mu := 1 in the Q recursion alone (every P column is
+    # built with the true mu first) breaks Q on affine C2 at l <= 9, where
+    # a mu of 2 or 3 first matters; the KL table's own check catches it
+    from kmflag.kl import KLTable
+
+    true_mu_list = KLTable._mu_list
+
+    def mu_one(self, v):
+        if len(self._mu) < len(self._below):
+            for w in range(len(self._below)):
+                true_mu_list(self, w)
+            for w, mu in self._mu.items():
+                self._mu[w] = [(z, 1, h) for z, _, h in mu]
+        return self._mu[v]
+
+    monkeypatch.setattr(KLTable, "_mu_list", mu_one)
+    path = tmp_path / "affine_c2.json"
+    path.write_text(json.dumps({"cartan": GOLDEN_CARTANS["affine_c2"]}))
+    status, doc = run_cli("inverse-kl", "--cartan", str(path), "--max-length", "9")
+    assert status == 2
+    assert json.loads(doc) == {
+        "error_code": "CrossCheckFailed",
+        "message": "negative inverse KL coefficient in 1+2q-q^2",
+    }

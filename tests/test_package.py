@@ -125,3 +125,26 @@ def test_value_classes_compare_and_hash_by_fields(records, name):
     assert twin == value and hash(twin) == hash(value)
     assert changed != value and type(changed) is type(value)
     assert value != tuple(getattr(value, f) for f in value._fields)
+
+
+def test_internal_checks_raise_toolkit_errors():
+    # an internal check raises a ToolkitError (CrossCheckFailed), which the
+    # CLI reports as a JSON error with exit status 2, and which `python -O`
+    # keeps; an assert statement or an AssertionError would do neither
+    import ast
+
+    root = os.path.dirname(kmflag.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{name}:{node.lineno} raise AssertionError")
+            elif isinstance(node, ast.Assert):
+                found.append(f"{name}:{node.lineno} assert")
+    assert found == []
