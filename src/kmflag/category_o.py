@@ -11,7 +11,6 @@ cross-checked against BGG reciprocity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value
@@ -22,7 +21,7 @@ from .errors import (
     PredicateViolation,
     UnsupportedKind,
 )
-from .graded_algebra import poly_ring
+from .graded_algebra import linear_quotient
 from .kl import KLTable
 from .moment_graph import MomentGraph
 from .root_datum import AFFINE, FINITE, RootDatum, height
@@ -66,10 +65,6 @@ def _require_block(block: BlockSpec, undecided_ok: bool = False) -> None:
             raise PredicateViolation(f"block is not {name}")
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-
-
 def classify_weight(
     datum: RootDatum, pairings, ideal: BruhatIdeal | None = None
 ) -> BlockSpec:
@@ -77,13 +72,19 @@ def classify_weight(
 
     Regularity is the simple-pairing test p_i + 1 != 0 sharpened by the
     full positive-root test in finite type and, when an ideal is supplied,
-    by a dot-action stabilizer scan over it.
+    by a dot-action stabilizer scan over it.  Each pairing is an exact
+    rational, an int or a fractions.Fraction: one that has no denominator
+    (a float, a str) raises ValueError.
     """
-    p = tuple(Fraction(x) for x in pairings)
+    p = tuple(pairings)
     if len(p) != datum.rank:
         raise ValueError("one pairing per simple root required")
-    integral = all(_is_integer(x) for x in p)
-    antidominant = all(not (_is_integer(x) and x >= 0) for x in p)
+    try:
+        whole = [x.denominator == 1 for x in p]
+    except AttributeError:
+        raise ValueError(f"pairings must be exact rationals: {p!r}") from None
+    integral = all(whole)
+    antidominant = all(not (w and x >= 0) for w, x in zip(whole, p))
     regular = all(x + 1 != 0 for x in p)
     if regular and datum.kind == FINITE:
         for beta in datum.positive_roots():
@@ -103,7 +104,7 @@ def classify_weight(
         noncritical = sum(a * (x + 1) for a, x in zip(datum.dual_labels, p)) != 0
     else:
         noncritical = None
-    return BlockSpec(datum, tuple(pairings), integral, regular, antidominant, noncritical)
+    return BlockSpec(datum, p, integral, regular, antidominant, noncritical)
 
 
 # -- characters -------------------------------------------------------------
@@ -126,7 +127,8 @@ def _kostant_table(datum: RootDatum, depth: int) -> dict:
             k += 1
     n = datum.rank
     # (height, b) order: monomials(h) lists the height-h points sorted
-    points = [b for h in range(depth + 1) for b in poly_ring(n).monomials(h)]
+    ring = linear_quotient(n, (0,) * n)
+    points = [b for h in range(depth + 1) for b in ring.monomials(h)]
     counts = {b: 0 for b in points}
     counts[(0,) * n] = 1
     for root, mult in sorted(weighted_roots, key=lambda rm: (height(rm[0]), rm[0])):

@@ -93,10 +93,6 @@ def _csv_doc(header, rows) -> str:
     return buf.getvalue()
 
 
-def _word(el) -> str:
-    return weyl_mod.format_word(el)
-
-
 def _words(ideal) -> dict:
     """Every element's word, formatted once: element -> word."""
     return {el: weyl_mod.format_word(el) for el in ideal}
@@ -126,7 +122,7 @@ def _cmd_roots(ns):
 
 def _cmd_weyl_ideal(ns):
     _, ideal = _load_ideal(ns)
-    rows = [(_word(w), w.length()) for w in ideal]
+    rows = [(weyl_mod.format_word(w), w.length()) for w in ideal]
     if ns.format == "csv":
         return EXIT_OK, _csv_doc(("word", "length"), rows)
     return EXIT_OK, _json_doc([{"word": w, "length": l} for w, l in rows])
@@ -139,7 +135,7 @@ def _cmd_kl(ns):
     table = KLTable(ideal)
     # position-keyed entry points: the pairs y <= w are read off the bitsets
     poly = table._inv if ns.command == "inverse-kl" else table._kl
-    words, below = [_word(el) for el in ideal], ideal.below
+    words, below = [weyl_mod.format_word(el) for el in ideal], ideal.below
     rows = [
         (words[y], words[w], poly(y, w))
         for y in range(len(words))
@@ -261,7 +257,7 @@ def _cmd_characters(ns):
     offsets = sorted(series.coeffs, key=lambda o: (-sum(o), o))
     doc = {
         "pairings": list(pairings),
-        "element": _word(w),
+        "element": weyl_mod.format_word(w),
         "depth": ns.depth,
         "base_offset": list(series.base.offset),
         "coefficients": {
@@ -301,7 +297,8 @@ def _cmd_multiplicities(ns):
 def _cmd_strata(ns):
     _, ideal = _load_ideal(ns)
     rows = [
-        (_word(x), x.length(), weyl_mod.stratum_dimension(x, ideal)) for x in ideal
+        (word, x.length(), weyl_mod.stratum_dimension(x, ideal))
+        for x, word in _words(ideal).items()
     ]
     if ns.format == "csv":
         return EXIT_OK, _csv_doc(("word", "length", "dimension"), rows)

@@ -3,12 +3,12 @@
 S is the polynomial ring on the images of the simple roots, graded so that
 each generator sits in degree 2.  Modules are finite direct sums of cyclic
 pieces S/(alpha)(-shift) for a linear form alpha, with explicit homogeneous
-generators, exact below a configured degree cap.  A free piece is the
-quotient by the zero form, so every piece shares LinearQuotient's
-normal-form arithmetic, whose maps are all integral.  A degree-d element
-is a flat vector: the concatenation, over the pieces live in degree d, of
-its coefficients on that piece's reduced monomials; a generator is a
-(degree, vector) pair.
+generators, exact below a configured degree cap.  A free piece, like S
+itself, is the quotient by the zero form, so every piece shares
+LinearQuotient's normal-form arithmetic, whose maps are all integral.  A
+degree-d element is a flat vector: the concatenation, over the pieces
+live in degree d, of its coefficients on that piece's monomials; a
+generator is a (degree, vector) pair.
 """
 
 from __future__ import annotations
@@ -23,37 +23,6 @@ from .errors import CapBoundaryGenerator, DegreeMismatch
 # -- monomial machinery ----------------------------------------------------
 
 
-class PolyRing:
-    """Monomial bookkeeping for a fixed number of generators."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self._monos: dict[int, tuple] = {}
-        self._steps: dict[int, tuple] = {}
-
-    def monomials(self, k: int) -> tuple:
-        got = self._monos.get(k)
-        if got is None:
-            got = tuple(sorted(_compositions(k, self.nvars)))
-            self._monos[k] = got
-        return got
-
-    def steps(self, k: int) -> tuple:
-        """Per monomial m of degree k >= 1, in monomials() order, the pair
-        (i, j): x_i is m's first variable and m / x_i is monomial j of
-        degree k - 1."""
-        got = self._steps.get(k)
-        if got is None:
-            index = {m: j for j, m in enumerate(self.monomials(k - 1))}
-            out = []
-            for m in self.monomials(k):
-                i = next(t for t, e in enumerate(m) if e)
-                out.append((i, index[m[:i] + (m[i] - 1,) + m[i + 1 :]]))
-            got = tuple(out)
-            self._steps[k] = got
-        return got
-
-
 def _compositions(k: int, n: int):
     if n == 1:
         yield (k,)
@@ -61,13 +30,6 @@ def _compositions(k: int, n: int):
     for first in range(k + 1):
         for rest in _compositions(k - first, n - 1):
             yield (first,) + rest
-
-
-# bounded caches: one entry per generator count, and per (count, label);
-# a run meets far fewer distinct labels than the bound, so none is rebuilt
-@lru_cache(maxsize=16)
-def poly_ring(nvars: int) -> PolyRing:
-    return PolyRing(nvars)
 
 
 class LinearQuotient:
@@ -81,45 +43,67 @@ class LinearQuotient:
     images[var] holds that form as {kept index: coefficient}, so every map
     is integral.  Multiplication by a variable (mul_var_map) is the one
     primitive; reduction maps are built from it.  The zero form eliminates
-    nothing (elim is None): S/(0) is the free piece S, t_i = x_i, every
-    monomial is a normal form and reduction is the identity.
+    nothing (elim is None): S/(0) is the polynomial ring S itself, t_i = x_i,
+    its monomials are every composition and reduction is the identity.
+    ring is that free quotient, and a quotient's monomials are the ring's
+    that avoid x_e, in the ring's order.
     """
 
-    def __init__(self, ring: PolyRing, coords):
-        self.ring = ring
+    def __init__(self, nvars: int, coords):
+        self.nvars = nvars
         self.elim = e = next((i for i, c in enumerate(coords) if c), None)
+        self.ring = self if e is None else linear_quotient(nvars, (0,) * nvars)
         c = 1 if e is None else coords[e]
         sign = 1 if c > 0 else -1
         self.images = tuple(
             {t: -sign * a for t, a in enumerate(coords) if a and t != e}
             if i == e else {i: abs(c)}
-            for i in range(ring.nvars)
+            for i in range(nvars)
         )
-        self._reduced: dict[int, tuple] = {}
-        self._reduced_index: dict[int, dict] = {}
+        self._monos: dict[int, tuple] = {}
+        self._index: dict[int, dict] = {}
+        self._steps: dict[int, tuple] = {}
         self._mulmaps: dict = {}
 
-    def reduced_monomials(self, k: int) -> tuple:
-        got = self._reduced.get(k)
+    def monomials(self, k: int) -> tuple:
+        """The normal-form monomials of degree k, as exponent tuples."""
+        got = self._monos.get(k)
         if got is None:
             e = self.elim
-            got = tuple(m for m in self.ring.monomials(k) if e is None or not m[e])
-            self._reduced[k] = got
+            if e is None:
+                got = tuple(sorted(_compositions(k, self.nvars)))
+            else:
+                got = tuple(m for m in self.ring.monomials(k) if not m[e])
+            self._monos[k] = got
         return got
 
-    def reduced_index(self, k: int) -> dict:
-        got = self._reduced_index.get(k)
+    def index(self, k: int) -> dict:
+        got = self._index.get(k)
         if got is None:
-            got = {m: i for i, m in enumerate(self.reduced_monomials(k))}
-            self._reduced_index[k] = got
+            got = {m: i for i, m in enumerate(self.monomials(k))}
+            self._index[k] = got
         return got
 
     def dim(self, k: int) -> int:
-        return len(self.reduced_monomials(k))
+        return len(self.monomials(k))
+
+    def steps(self, k: int) -> tuple:
+        """Per monomial m of degree k >= 1, in monomials() order, the pair
+        (i, j): x_i is m's first variable and m / x_i is monomial j of
+        degree k - 1."""
+        got = self._steps.get(k)
+        if got is None:
+            index = self.index(k - 1)
+            out = []
+            for m in self.monomials(k):
+                i = next(t for t, e in enumerate(m) if e)
+                out.append((i, index[m[:i] + (m[i] - 1,) + m[i + 1 :]]))
+            got = self._steps[k] = tuple(out)
+        return got
 
     def reduce_map_indexed(self, k: int) -> tuple:
-        """Reduction matrix in sparse index form: per source monomial index,
-        ((reduced index, coeff), ...).
+        """Reduction matrix in sparse index form: per ring monomial index,
+        ((normal-form index, coeff), ...).
 
         The image of a monomial m is x_i times the image of m / x_i, x_i
         being m's first variable, so reduction is built from mul_var_map."""
@@ -143,27 +127,30 @@ class LinearQuotient:
         return got
 
     def mul_var_map(self, k: int, var: int) -> tuple:
-        """Multiplication by x_var from reduced degree k to reduced degree
-        k+1, as ((target, coeff), ...) per source monomial: t^m goes to
-        sum over images[var] of f * t^m * t_i."""
+        """Multiplication by x_var from degree k to degree k+1, as
+        ((target, coeff), ...) per source monomial: t^m goes to sum over
+        images[var] of f * t^m * t_i."""
         key = (k, var)
         got = self._mulmaps.get(key)
         if got is None:
-            idx = self.reduced_index(k + 1)
+            idx = self.index(k + 1)
             image = self.images[var].items()
             got = tuple(
                 tuple(
                     (idx[m[:i] + (m[i] + 1,) + m[i + 1 :]], f) for i, f in image
                 )
-                for m in self.reduced_monomials(k)
+                for m in self.monomials(k)
             )
             self._mulmaps[key] = got
         return got
 
 
+# bounded cache, one entry per (count, label), the ring being the zero
+# label; a run meets far fewer distinct labels than the bound, so none is
+# rebuilt
 @lru_cache(maxsize=1024)
 def linear_quotient(nvars: int, coords) -> LinearQuotient:
-    return LinearQuotient(poly_ring(nvars), coords)
+    return LinearQuotient(nvars, coords)
 
 
 # -- graded module representations -----------------------------------------
@@ -192,7 +179,7 @@ class ModuleAmbient:
 
     def __init__(self, nvars: int, pieces):
         self.nvars = nvars
-        self.ring = poly_ring(nvars)
+        self.ring = linear_quotient(nvars, (0,) * nvars)
         self.pieces = tuple(pieces)
         self.quotients = tuple(
             linear_quotient(nvars, tuple(p.annihilator or (0,) * nvars))

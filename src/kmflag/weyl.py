@@ -217,7 +217,7 @@ def bruhat_leq(y: WeylElement, w: WeylElement) -> bool:
     v = y
     for i in w.reduced_word():
         if is_negative_vector(v._column(i)):
-            v = multiply(simple_reflection(v.datum, i), v)
+            v = _left_step(v, i)
     return v.is_identity()
 
 

@@ -573,7 +573,7 @@ def spoly_vector(amb, element, d: int):
         if piece.annihilator is not None:
             _, p = divide_by_linear(p, SPoly.linear(piece.annihilator))
             p = t_basis(p, piece.annihilator)
-        index = {m: i for i, m in enumerate(quot.reduced_monomials(rel // 2))}
+        index = {m: i for i, m in enumerate(quot.monomials(rel // 2))}
         block = [0] * len(index)
         for exp, c in p.terms.items():
             assert c.denominator == 1, "non-integral coefficient"

@@ -1,6 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmflag.category_o import (
     BlockSpec,
@@ -26,6 +30,7 @@ from kmflag.weyl import (
     simple_reflection,
 )
 
+from conftest import A2, AFFINE_A1, B2
 from oracles import brute_kostant
 
 
@@ -68,6 +73,44 @@ def test_classify_affine_stabilizer_scan(affine_a1, affine_a1_ideal6):
 def test_classify_indefinite_noncritical_undecided():
     indef = validate_cartan([[2, -3], [-3, 2]])
     assert classify_weight(indef, (-2, -2)).noncritical is None
+
+
+#: A1, A2, B2, affine A1 and a rank-3 hyperbolic datum
+CLASSIFY_CARTANS = ([[2]], A2, B2, AFFINE_A1, [[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+#: ints, the same values as Fractions, and the halves
+PAIRING = st.one_of(
+    st.integers(-3, 2),
+    st.integers(-3, 2).map(Fraction),
+    st.sampled_from((Fraction(-1, 2), Fraction(1, 2))),
+)
+
+
+@lru_cache(maxsize=None)
+def _classify_case(k):
+    """The k-th datum of CLASSIFY_CARTANS with an ideal for the stabilizer
+    scan: the whole group in finite type, length <= 3 otherwise."""
+    datum = validate_cartan(CLASSIFY_CARTANS[k])
+    ideal = full_weyl_group(datum) if datum.kind == "finite" else enumerate_ideal(datum, 3)
+    return datum, ideal
+
+
+@given(st.data())
+def test_classify_reads_pairings_as_given(data):
+    # the reference converts every pairing with Fraction first
+    datum, ideal = _classify_case(data.draw(st.integers(0, len(CLASSIFY_CARTANS) - 1)))
+    pairings = tuple(data.draw(st.lists(PAIRING, min_size=datum.rank, max_size=datum.rank)))
+    exact = tuple(Fraction(x) for x in pairings)
+    for scan in (None, ideal):
+        spec = classify_weight(datum, pairings, scan)
+        assert spec == classify_weight(datum, exact, scan), pairings
+        assert spec.integral == all(x.denominator == 1 for x in exact)
+        assert spec.antidominant == all(x.denominator != 1 or x < 0 for x in exact)
+
+
+@pytest.mark.parametrize("bad", [-2.0, "-2", Decimal(-2)], ids=["float", "str", "decimal"])
+def test_classify_rejects_inexact_pairings(a2, bad):
+    with pytest.raises(ValueError, match="exact rationals"):
+        classify_weight(a2, (bad, -2))
 
 
 def test_kostant_examples(a1, a2, affine_a1):

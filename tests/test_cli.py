@@ -471,9 +471,8 @@ def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
         for m in ("_linalg", "_value", "errors", "root_datum", "weyl", *stages)
     }
     assert ("csv" in loaded) == ("--format csv" in args)
-    # rationals appear only in category O's weights
-    rational = command in ("characters", "multiplicities")
-    assert ("fractions" in loaded) == ("decimal" in loaded) == rational
+    # the pipeline builds no rationals: every number is an int
+    assert not {"fractions", "decimal"} & loaded
 
 
 #: how each entry point is started: `python -m kmflag.cli`, and the console

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -235,12 +236,28 @@ def test_minimal_generators_presentation_independence():
         done += 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ring_is_the_free_quotient(n):
+    ring = linear_quotient(n, (0,) * n)
+    assert ModuleAmbient(n, [CyclicPiece(0), CyclicPiece(2, (1,) * n)]).ring is ring
+    labels = [label for label in product(range(-2, 3), repeat=n) if any(label)]
+    for k in range(6):
+        monos = ring.monomials(k)
+        assert list(monos) == sorted(m for m in product(range(k + 1), repeat=n)
+                                     if sum(m) == k)
+        for label in labels:
+            quot = linear_quotient(n, label)
+            elim = next(i for i, c in enumerate(label) if c)
+            assert quot.ring is ring
+            assert quot.monomials(k) == tuple(m for m in monos if not m[elim])
+
+
 def _normal_form_over_q(quot, label, exp):
     """{reduced index: coefficient} of a monomial's remainder under
     divide_by_linear, which works in Fraction arithmetic, rescaled by the
     oracle's t_basis to monomials in t_i = x_i/|c|."""
     _, rem = divide_by_linear(SPoly(len(exp), {exp: 1}), SPoly.linear(label))
-    idx = quot.reduced_index(sum(exp))
+    idx = quot.index(sum(exp))
     return {idx[m]: c for m, c in t_basis(rem, label).terms.items()}
 
 
@@ -257,7 +274,7 @@ def _check_quotient_maps(label, n, degrees, ints):
             assert dict(row) == _normal_form_over_q(quot, label, m), (label, m)
         for var in range(n):
             rows = quot.mul_var_map(k, var)
-            for m, row in zip(quot.reduced_monomials(k), rows):
+            for m, row in zip(quot.monomials(k), rows):
                 assert not ints or all(type(f) is int for _, f in row), (label, m)
                 up = tuple(e + (t == var) for t, e in enumerate(m))
                 scale = t_basis(SPoly(n, {m: 1}), label).terms[m]

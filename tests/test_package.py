@@ -72,12 +72,14 @@ def test_star_import_binds_exactly_all():
 
 
 def test_stages_load_without_dataclasses_or_inspect():
-    # pytest itself loads both modules, so only a fresh interpreter can tell
+    # pytest itself loads these modules, so only a fresh interpreter can
+    # tell; fractions and decimal would mean a stage builds rationals
     loaded = fresh(
         "import json, sys; "
         "import kmflag.cli, kmflag.kl, kmflag.moment_graph, kmflag.graded_algebra, "
         "kmflag.bmp, kmflag.category_o; "
-        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} "
+        "& set(sys.modules))))"
     )
     assert loaded == []
 

@@ -297,8 +297,8 @@ def test_coroot_coords(b2):
 
 def test_module_caches_are_bounded():
     from kmflag.category_o import _kostant_table
-    from kmflag.graded_algebra import linear_quotient, poly_ring
+    from kmflag.graded_algebra import linear_quotient
     from kmflag.root_datum import _validate_cached
 
-    for cache in (_kostant_table, poly_ring, linear_quotient, _validate_cached):
+    for cache in (_kostant_table, linear_quotient, _validate_cached):
         assert cache.cache_info().maxsize is not None, cache.__name__
