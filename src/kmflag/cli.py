@@ -78,8 +78,59 @@ def _parse_element(datum, text, option):
         raise _CliError(f"{option}: {exc}") from None
 
 
+_quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+
+
 def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as `json.dumps(obj, indent=2) + "\\n"` writes it, for the types the
+    CLI emits: dicts with str keys, lists, str, int, bool and None.  Anything
+    else, a float or a tuple say, raises TypeError."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, nl: str) -> str:
+    """One value, its lines after the first prefixed by nl ("\\n" + indent)."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = nl + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_column(obj, inner)) + nl + "]"
+    if kind is dict:
+        items = [inner + _quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + ",".join(items) + nl + "}" if items else "{}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _column(values, nl: str):
+    """The values of one list, each as _json writes it, in bulk where they
+    share a type: strs, ints, lists of ints, and records (dicts whose keys
+    come in one order), written column by column into one row template."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(_quote, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    inner = nl + "  "
+    if kinds == {list} and {type(x) for v in values for x in v} <= {int}:
+        sep = "," + inner
+        return ["[" + inner + sep.join(map(int.__repr__, v)) + nl + "]" if v else "[]"
+                for v in values]
+    keys = set(map(tuple, values)) if kinds == {dict} else ()
+    if len(keys) == 1 and (keys := keys.pop()):
+        fields = [inner + _quote(k).replace("%", "%%") + ": %s" for k in keys]
+        template = "{" + ",".join(fields) + nl + "}"
+        columns = [_column(c, inner) for c in zip(*map(dict.values, values))]
+        return [template % row for row in zip(*columns)]
+    return [_json(v, nl) for v in values]
 
 
 def _csv_doc(header, rows) -> str:

@@ -57,23 +57,30 @@ def build_moment_graph(
     """Edges (s_beta w, w) labeled beta, for each vertex w and each lower
     reflection s_beta w < w that is again a vertex.  Only the finite
     inversion sets of the vertices are read, never the (possibly infinite)
-    set of real roots."""
-    edges = [Edge(y, w, beta) for w in ideal for beta, y in ideal.lower_reflections(w)]
+    set of real roots.  The edges are read off the ideal's reflection table
+    as (lower, upper, label) position triples: positions follow sort_key
+    and one edge joins each pair, so sorting the triples orders the edges
+    by (lower.sort_key(), upper.sort_key()), and the incidence lists are
+    filled by position.  On the dual graph each distinct label's coroot is
+    computed, and checked to be a dual real root, once."""
+    triples = sorted(
+        (j, k, beta) for k, lower in enumerate(ideal._lower) for beta, j in lower
+    )
     if dual:
         dual_datum = datum.langlands_dual()
-        mapped = []
-        for e in edges:
-            covec = datum.coroot_coords(e.label)
+        coroot = {}
+        for beta in {beta for _, _, beta in triples}:
+            covec = coroot[beta] = datum.coroot_coords(beta)
             if not dual_datum.is_real_root(covec):
                 raise CrossCheckFailed("coroot label is not a dual real root")
-            mapped.append(Edge(e.lower, e.upper, covec))
-        edges = mapped
-    edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
-    ins = [[] for _ in ideal.elements]
-    outs = [[] for _ in ideal.elements]
-    for e in edges:
-        ins[ideal.position(e.upper)].append(e)
-        outs[ideal.position(e.lower)].append(e)
+        triples = [(j, k, coroot[beta]) for j, k, beta in triples]
+    els = ideal.elements
+    edges = [Edge(els[j], els[k], beta) for j, k, beta in triples]
+    ins = [[] for _ in els]
+    outs = [[] for _ in els]
+    for (j, k, _), e in zip(triples, edges):
+        ins[k].append(e)
+        outs[j].append(e)
     return MomentGraph(
         datum, ideal, tuple(edges), dual,
         tuple(map(tuple, ins)), tuple(map(tuple, outs)),
@@ -81,12 +88,14 @@ def build_moment_graph(
 
 
 def covering_relations(ideal: BruhatIdeal) -> list[tuple[WeylElement, WeylElement]]:
-    """(y, x) pairs with y covered by x inside the ideal, in canonical order."""
-    out = [
-        (y, x)
-        for x in ideal
-        for _, y in ideal.lower_reflections(x)
-        if y.length() == x.length() - 1
-    ]
-    out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
-    return out
+    """(y, x) pairs with y covered by x inside the ideal, in canonical order,
+    read off the reflection table by position."""
+    els = ideal.elements
+    length = [w.length() for w in els]
+    pairs = sorted(
+        (j, k)
+        for k, lower in enumerate(ideal._lower)
+        for _, j in lower
+        if length[j] == length[k] - 1
+    )
+    return [(els[j], els[k]) for j, k in pairs]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf
+from operator import mul
 
 from ._linalg import kernel_basis
 from ._value import Value
@@ -35,11 +36,11 @@ def height(beta) -> int:
 
 
 def is_positive_vector(beta) -> bool:
-    return any(c > 0 for c in beta) and all(c >= 0 for c in beta)
+    return max(beta, default=0) > 0 and min(beta) >= 0
 
 
 def is_negative_vector(beta) -> bool:
-    return any(c < 0 for c in beta) and all(c <= 0 for c in beta)
+    return min(beta, default=0) < 0 and max(beta) <= 0
 
 
 def _check_gcm(entries) -> tuple[tuple[int, ...], ...]:
@@ -153,13 +154,12 @@ class RootDatum(Value):
 
     def coroot_pairings(self, beta) -> tuple:
         """All pairings <beta, alpha_i^vee> = (A beta)_i at once."""
-        a = self.cartan
-        n = self.rank
-        return tuple(sum(a[i][j] * beta[j] for j in range(n)) for i in range(n))
+        return tuple([sum(map(mul, row, beta)) for row in self.cartan])
 
     def reflect_simple(self, i: int, beta) -> tuple:
-        p = sum(self.cartan[i][j] * beta[j] for j in range(self.rank))
-        return tuple(c - p if j == i else c for j, c in enumerate(beta))
+        out = list(beta)
+        out[i] -= sum(map(mul, self.cartan[i], beta))
+        return tuple(out)
 
     def is_real_root(self, beta, height_bound: int = DEFAULT_HEIGHT_BOUND) -> bool:
         """Whether beta lies in the Weyl orbit of a simple root.

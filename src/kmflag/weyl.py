@@ -16,6 +16,7 @@ neighbours s_i w, which KLTable reads in place of matrix products.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 
 from ._value import Value
 from .errors import (
@@ -91,13 +92,11 @@ class WeylElement:
         return beta
 
     def apply_inverse(self, beta) -> tuple:
-        m = self.inv_matrix
-        n = self.datum.rank
-        return tuple(sum(m[i][j] * beta[j] for j in range(n)) for i in range(n))
+        return tuple([sum(map(mul, row, beta)) for row in self.inv_matrix])
 
     def _column(self, i: int) -> RootVector:
         """w^{-1}(alpha_i)."""
-        return tuple(row[i] for row in self.inv_matrix)
+        return tuple([row[i] for row in self.inv_matrix])
 
     def left_descents(self) -> list[int]:
         """Indices i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative."""
@@ -151,9 +150,10 @@ def _left_step(w: WeylElement, i: int) -> WeylElement:
     """s_i w in O(n^2): its inverse w^{-1} s_i is w^{-1} minus its column i
     times row i of the Cartan matrix."""
     a = w.datum.cartan[i]
-    inv = tuple(
-        tuple(x - r[i] * c for x, c in zip(r, a)) if r[i] else r for r in w.inv_matrix
-    )
+    inv = tuple([
+        tuple([x - k * c for x, c in zip(r, a)]) if (k := r[i]) else r
+        for r in w.inv_matrix
+    ])
     return WeylElement(w.datum, inv)
 
 

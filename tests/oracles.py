@@ -28,7 +28,11 @@ linear-algebra oracles eliminate over Q with Fraction pivots scaled to 1,
 where the package eliminates fraction-free.  The root-datum oracles find
 the symmetrizer by propagating ratios along a spanning forest of the Dynkin
 graph and the kind from the characteristic polynomial (Faddeev-LeVerrier),
-where the package takes a kernel and leading minors."""
+where the package takes a kernel and leading minors.  The vector kernels
+of root_datum and weyl are kept here as first written, by nested generator
+expressions, and the moment graph's edges and covers as the full scan
+sorted by sort keys, where the package reads positions off the ideal's
+reflection table."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -43,6 +47,7 @@ from kmflag.graded_algebra import (
     monomial_multiples,
 )
 from kmflag.kl import QPoly
+from kmflag.moment_graph import Edge
 from kmflag.weyl import (
     WeylElement,
     bruhat_leq,
@@ -650,6 +655,72 @@ def solve_over_q(a_rows, rhs, ncols: int):
             x[col] = row[ncols + s]
         xs.append(x)
     return xs
+
+
+# -- the vector kernels by generator expressions ---------------------------
+
+
+def is_positive_vector_ref(beta) -> bool:
+    return any(c > 0 for c in beta) and all(c >= 0 for c in beta)
+
+
+def is_negative_vector_ref(beta) -> bool:
+    return any(c < 0 for c in beta) and all(c <= 0 for c in beta)
+
+
+def coroot_pairings_ref(datum, beta) -> tuple:
+    a = datum.cartan
+    n = datum.rank
+    return tuple(sum(a[i][j] * beta[j] for j in range(n)) for i in range(n))
+
+
+def reflect_simple_ref(datum, i, beta) -> tuple:
+    p = sum(datum.cartan[i][j] * beta[j] for j in range(datum.rank))
+    return tuple(c - p if j == i else c for j, c in enumerate(beta))
+
+
+def apply_inverse_ref(w, beta) -> tuple:
+    m = w.inv_matrix
+    n = w.datum.rank
+    return tuple(sum(m[i][j] * beta[j] for j in range(n)) for i in range(n))
+
+
+def column_ref(w, i) -> tuple:
+    return tuple(row[i] for row in w.inv_matrix)
+
+
+def left_step_ref(w, i) -> WeylElement:
+    a = w.datum.cartan[i]
+    inv = tuple(
+        tuple(x - r[i] * c for x, c in zip(r, a)) if r[i] else r for r in w.inv_matrix
+    )
+    return WeylElement(w.datum, inv)
+
+
+# -- the moment graph by a full scan -----------------------------------------
+
+
+def edges_by_scan(datum, ideal, dual=False) -> list:
+    """Every edge (s_beta w, w) of the ideal, labeled beta or, on the dual
+    graph, beta's coroot, sorted by (lower.sort_key(), upper.sort_key(),
+    label)."""
+    edges = [Edge(y, w, beta) for w in ideal for beta, y in ideal.lower_reflections(w)]
+    if dual:
+        edges = [Edge(e.lower, e.upper, datum.coroot_coords(e.label)) for e in edges]
+    edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
+    return edges
+
+
+def covers_by_scan(ideal) -> list:
+    """(y, x) with y covered by x in the ideal, sorted by sort keys."""
+    out = [
+        (y, x)
+        for x in ideal
+        for _, y in ideal.lower_reflections(x)
+        if y.length() == x.length() - 1
+    ]
+    out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
+    return out
 
 
 def word_oracle(w):

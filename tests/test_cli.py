@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kmflag
-from kmflag.cli import main
+from kmflag.cli import _json_doc, main
 
 from conftest import GCM_PAIRS, rank3_datum
 
@@ -707,3 +707,56 @@ def test_failed_internal_check_exits_two(tmp_path, monkeypatch):
         "error_code": "CrossCheckFailed",
         "message": "negative inverse KL coefficient in 1+2q-q^2",
     }
+
+
+# the document shapes the CLI writes: records (lists of dicts sharing their
+# keys in one order), nested dicts, empty lists and dicts, int lists, and
+# strings that need escaping
+_TEXT = st.text(st.sampled_from('ab1,e"\\%/\n\x00\u00e9\u2603\U0001f600'), max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), _TEXT)
+_INT_LISTS = st.lists(st.integers(-3, 3), max_size=4)
+
+
+@st.composite
+def _records(draw, values):
+    """A list of dicts sharing their keys, each column of one kind or
+    mixed, and maybe one row whose keys come in another order."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    columns = [
+        draw(st.sampled_from((_TEXT, st.integers(), _INT_LISTS, values))) for _ in keys
+    ]
+    rows = [
+        {k: draw(c) for k, c in zip(keys, columns)}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    order = draw(st.permutations(keys))
+    if order != keys:
+        rows.insert(draw(st.integers(0, len(rows))), {k: draw(values) for k in order})
+    return rows
+
+
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, _INT_LISTS, st.lists(st.one_of(st.integers(), st.booleans()))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+        _records(children),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_DOCS)
+def test_json_writer_is_json_dumps(doc):
+    assert _json_doc(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, (1, 2), {1: "a"}, [{"a": 1.5}], [{1: 2}, {1: 3}], {"a": [(1,)]}, [[0.0]]],
+    ids=["float", "tuple", "int_key", "record_float", "record_int_key", "nested_tuple",
+         "float_in_list"],
+)
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_doc(doc)

@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmflag.bmp import compute_bmp
-from kmflag.errors import DegreeCapExceeded
+from kmflag.errors import CrossCheckFailed, DegreeCapExceeded
 from kmflag.moment_graph import build_moment_graph, covering_relations
-from kmflag.root_datum import validate_cartan
+from kmflag.root_datum import RootDatum, validate_cartan
 from kmflag.weyl import (
     bruhat_leq,
     enumerate_ideal,
@@ -19,6 +19,8 @@ from kmflag.weyl import (
 from oracles import (
     SPoly,
     constant_sheaf,
+    covers_by_scan,
+    edges_by_scan,
     reflection_pair_edges,
     restriction_matrix,
     sections,
@@ -263,12 +265,15 @@ def test_affine_graph_edges(affine_a1, affine_a1_graph):
     ids=["a2", "b3", "affine_a1", "hyperbolic"],
 )
 def test_incidence_table_is_the_edge_scan(cartan, bound, dual):
-    # in_edges and out_edges at each vertex are the full scan of edges,
-    # filtered by the upper and by the lower end, in edges order; so every
-    # edge sits once in each end's list
+    # the build by positions gives the edges, labels and order of the full
+    # scan sorted by sort keys, and the covers of the scan; in_edges and
+    # out_edges at each vertex are the edges filtered by the upper and by
+    # the lower end, in edges order, so every edge sits once in each list
     datum = validate_cartan(cartan)
     ideal = full_weyl_group(datum) if bound is None else enumerate_ideal(datum, bound)
     graph = build_moment_graph(datum, ideal, dual=dual)
+    assert list(graph.edges) == edges_by_scan(datum, ideal, dual)
+    assert covering_relations(ideal) == covers_by_scan(ideal)
     assert len(graph.in_edges) == len(graph.out_edges) == len(graph.vertices)
     for w, ins, outs in zip(graph.vertices, graph.in_edges, graph.out_edges):
         assert list(ins) == [e for e in graph.edges if e.upper == w]
@@ -276,6 +281,24 @@ def test_incidence_table_is_the_edge_scan(cartan, bound, dual):
     for table in (graph.in_edges, graph.out_edges):
         listed = [e for edges in table for e in edges]
         assert sorted(map(graph.edges.index, listed)) == list(range(len(graph.edges)))
+
+
+def test_dual_build_checks_every_distinct_label(monkeypatch):
+    # rejecting any one coroot label, and that one alone, fails the build
+    datum = validate_cartan([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+    ideal = full_weyl_group(datum)
+    labels = {e.label for e in build_moment_graph(datum, ideal, dual=True).edges}
+    assert len(labels) == 9
+    is_real_root = RootDatum.is_real_root
+    for rejected in sorted(labels):
+        monkeypatch.setattr(
+            RootDatum, "is_real_root",
+            lambda self, beta, *args, rejected=rejected: (
+                beta != rejected and is_real_root(self, beta, *args)
+            ),
+        )
+        with pytest.raises(CrossCheckFailed):
+            build_moment_graph(datum, ideal, dual=True)
 
 
 def _check_edges_against_oracle(ideal):

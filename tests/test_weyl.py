@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from kmflag.errors import NotInIdeal, NotRealRoot, SizeLimitExceeded
 from kmflag.kl import KLTable
-from kmflag.root_datum import RootDatum
+from kmflag.root_datum import (
+    RootDatum, is_negative_vector, is_positive_vector, validate_cartan,
+)
 from kmflag.weyl import (
     BruhatIdeal,
     WeightCoords,
+    _left_step,
     bruhat_leq,
     dot_action,
     enumerate_ideal,
@@ -31,9 +34,16 @@ from kmflag.weyl import (
 
 from conftest import GCM_PAIRS, rank3_datum
 from oracles import (
+    apply_inverse_ref,
     bruhat_closure_oracle,
+    column_ref,
+    coroot_pairings_ref,
     ideal_oracle,
+    is_negative_vector_ref,
+    is_positive_vector_ref,
+    left_step_ref,
     lower_reflections_oracle,
+    reflect_simple_ref,
     word_oracle,
 )
 
@@ -344,3 +354,52 @@ def test_equal_root_data_give_equal_elements(a2):
     assert u == v and hash(u) == hash(v)
     assert multiply(u, from_word(twin, [0])) == from_word(a2, [0, 1, 0])
     assert bruhat_leq(from_word(twin, [0]), u)
+
+
+def _check_vector_kernels(datum, beta):
+    assert is_positive_vector(beta) == is_positive_vector_ref(beta)
+    assert is_negative_vector(beta) == is_negative_vector_ref(beta)
+    assert datum.coroot_pairings(beta) == coroot_pairings_ref(datum, beta)
+    for i in range(datum.rank):
+        assert datum.reflect_simple(i, beta) == reflect_simple_ref(datum, i, beta)
+
+
+@given(
+    st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS),
+    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+    st.lists(st.integers(0, 2), max_size=8),
+)
+def test_vector_kernels_match_generator_references(pairs, beta, word):
+    # the builtin kernels (min/max, map(mul), comprehensions) against their
+    # first definitions, on random integer vectors and random elements
+    datum = rank3_datum(pairs)
+    _check_vector_kernels(datum, tuple(beta))
+    _check_vector_kernels(datum, beta)
+    w = from_word(datum, word)
+    assert w.apply_inverse(beta) == apply_inverse_ref(w, beta)
+    for i in range(3):
+        assert _left_step(w, i).inv_matrix == left_step_ref(w, i).inv_matrix
+
+
+@pytest.mark.parametrize(
+    "cartan, bound",
+    [
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], None),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], None),
+        ([[2, -2], [-2, 2]], 6),
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 4),
+    ],
+    ids=["a3", "b3", "affine_a1", "hyperbolic"],
+)
+def test_vector_kernels_on_every_element(cartan, bound):
+    datum = validate_cartan(cartan)
+    ideal = full_weyl_group(datum) if bound is None else enumerate_ideal(datum, bound)
+    rank = datum.rank
+    probes = [datum.simple_root(i) for i in range(rank)] + [(1,) * rank, (0,) * rank]
+    for w in ideal:
+        for i in range(rank):
+            assert w._column(i) == column_ref(w, i)
+            _check_vector_kernels(datum, w._column(i))
+            assert _left_step(w, i).inv_matrix == left_step_ref(w, i).inv_matrix
+        for beta in probes:
+            assert w.apply_inverse(beta) == apply_inverse_ref(w, beta)
