@@ -1,17 +1,21 @@
 """Command-line front-end: deterministic JSON/CSV emission for every
 pipeline, with machine-readable errors and stable exit codes.
 
+Each option has one spelling and may be given once.  Its value follows "="
+or is the next token, which may begin with "-" (--pairings -2,-1).
+`kmflag <command> --help` lists the options of one command.
+
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 resource-guard error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 # only what every command needs; each handler imports the stages it runs
 from . import weyl as weyl_mod
@@ -34,11 +38,6 @@ _ERROR_STATUS = (
 
 class _CliError(Exception):
     code = "UsageError"
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _CliError(message)
 
 
 def _load_datum(ns):
@@ -360,7 +359,8 @@ def _cmd_strata(ns):
 
 # -- command line ------------------------------------------------------------
 
-#: every option once: flag -> argparse keywords
+#: every option once: flag -> argparse keywords (type, choices, required,
+#: default, dest, action="store_true", help), which _parse reads
 _OPTIONS = {
     "--cartan": dict(required=True, dest="cartan_path",
                      help='JSON file {"cartan": [[...]]}'),
@@ -397,22 +397,103 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> _Parser:
-    """The parser with the subparser of the given command alone, or of every
-    command when it names none (help, a missing or an unknown command), so
-    the listing and the error messages name them all."""
-    parser = _Parser(prog="kmflag", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (command,) if command in _COMMANDS else _COMMANDS:
-        handler, options = _COMMANDS[name]
-        p = sub.add_parser(name, allow_abbrev=False)
-        for flag in ("--cartan", "--size-limit", *options):
-            p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(handler=handler)
-    return parser
+def _flags(command) -> tuple:
+    """The flags a command takes, in the order its help lists them."""
+    return ("--cartan", "--size-limit", *_COMMANDS[command][1])
 
 
-def _check_options(ns: argparse.Namespace) -> None:
+def _dest(flag) -> str:
+    return _OPTIONS[flag].get("dest") or flag[2:].replace("-", "_")
+
+
+def _choice(name, value, choices) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _CliError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+_HELP = ("-h", "--help")
+
+
+def _parse(argv, out) -> SimpleNamespace:
+    """argv as a namespace of the command and its option values, with
+    argparse's rules and messages.  argv[0] names the command; each later
+    token is one of its flags, alone or as --flag=value, and a value is the
+    next token unless that is one of its flags or -h/--help.  A bad or
+    repeated option fails as it is read, then missing required flags, then
+    unrecognized tokens; -h/--help writes the help to out and exits 0."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        _help(None, out)
+    if not argv:
+        raise _CliError("the following arguments are required: command")
+    _choice("command", command, _COMMANDS)
+    flags = _flags(command)
+    ns = SimpleNamespace(command=command)
+    for flag in flags:
+        spec = _OPTIONS[flag]
+        setattr(ns, _dest(flag), spec.get("default", False if "action" in spec else None))
+    seen, extras = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in _HELP:
+            _help(command, out)
+        if flag not in flags:
+            extras.append(token)
+            continue
+        if flag in seen:
+            raise _CliError(f"argument {flag}: may be given only once")
+        seen.add(flag)
+        spec = _OPTIONS[flag]
+        if "action" in spec:  # store_true
+            if eq:
+                raise _CliError(f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value in _HELP or value.partition("=")[0] in flags:
+                raise _CliError(f"argument {flag}: expected one argument")
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                kind = spec["type"].__name__
+                raise _CliError(f"argument {flag}: invalid {kind} value: {value!r}") from None
+        if "choices" in spec:
+            _choice(flag, value, spec["choices"])
+        setattr(ns, _dest(flag), value)
+    missing = [f for f in flags if _OPTIONS[f].get("required") and f not in seen]
+    if missing:
+        raise _CliError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _CliError("unrecognized arguments: " + " ".join(extras))
+    return ns
+
+
+def _help(command, out):
+    """Write the usage line and the commands, or one command's flags with
+    their help strings, and exit 0."""
+    commands = "{" + ",".join(_COMMANDS) + "}"
+    if command is None:
+        out.write(f"usage: kmflag {commands} ...\n\n{__doc__}\n"
+                  f"positional arguments:\n  {commands}\n")
+        raise SystemExit(0)
+    usage, rows = [], []
+    for flag in _flags(command):
+        spec = _OPTIONS[flag]
+        if "choices" in spec:
+            flag += " {" + ",".join(spec["choices"]) + "}"
+        elif "action" not in spec:
+            flag += " " + _dest(flag).upper()
+        usage.append(flag if spec.get("required") else f"[{flag}]")
+        pad = "\n" + " " * 26 if len(flag) > 22 else " " * (24 - len(flag))
+        rows.append(f"  {flag}{pad}{spec['help']}\n" if "help" in spec else f"  {flag}\n")
+    out.write(f"usage: kmflag {command} {' '.join(usage)}\n\noptions:\n{''.join(rows)}")
+    raise SystemExit(0)
+
+
+def _check_options(ns: SimpleNamespace) -> None:
     """Resolve the size limit (flag, then KMFLAG_SIZE_LIMIT, then the
     default) and reject out-of-range option values."""
     if ns.size_limit is None:
@@ -432,33 +513,12 @@ def _check_options(ns: argparse.Namespace) -> None:
         raise _CliError(f"--degree-cap-override must be even and nonnegative, not {cap}")
 
 
-def _merge_negative_values(argv):
-    """Join "--pairings -2,-1" into one token so argparse does not read the
-    value as an option."""
-    if argv is None:
-        argv = sys.argv[1:]
-    out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--pairings" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--pairings={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    args = _merge_negative_values(argv)
-    parser = _build_parser(args[0] if args else None)
     try:
-        ns = parser.parse_args(args)
+        ns = _parse(sys.argv[1:] if argv is None else argv, out)
         _check_options(ns)
-        status, doc = ns.handler(ns)
+        status, doc = _COMMANDS[ns.command][0](ns)
     except (_CliError, ToolkitError, ValueError) as exc:
         code = getattr(exc, "code", "ValueError")
         out.write(_json_doc({"error_code": code, "message": str(exc)}))

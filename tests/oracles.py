@@ -32,11 +32,16 @@ where the package takes a kernel and leading minors.  The vector kernels
 of root_datum and weyl are kept here as first written, by nested generator
 expressions, and the moment graph's edges and covers as the full scan
 sorted by sort keys, where the package reads positions off the ideal's
-reflection table."""
+reflection table.  The command line's reference is the argparse front end
+kmflag.cli used before it read _OPTIONS and _COMMANDS itself: one
+subparser per command, built from the same two tables, with
+"--pairings -2,-1" glued into one token beforehand."""
 
+import argparse
 from fractions import Fraction
 from math import gcd, lcm
 
+from kmflag import cli
 from kmflag._linalg import RowSpan, kernel_basis
 from kmflag.bmp import GraphSheaf
 from kmflag.errors import DegreeCapExceeded
@@ -858,3 +863,48 @@ def kind_oracle(a):
     ):
         return "affine"
     return "indefinite"
+
+
+# -- the command line by argparse --------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli._CliError(message)
+
+
+def _build_parser(command=None) -> _Parser:
+    """The parser with the subparser of the given command alone, or of every
+    command when it names none (help, a missing or an unknown command), so
+    the listing and the error messages name them all."""
+    parser = _Parser(prog="kmflag", description=cli.__doc__, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command in cli._COMMANDS else cli._COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in ("--cartan", "--size-limit", *cli._COMMANDS[name][1]):
+            p.add_argument(flag, **cli._OPTIONS[flag])
+    return parser
+
+
+def _merge_negative_values(argv):
+    """Join "--pairings -2,-1" into one token so argparse does not read the
+    value as an option."""
+    out = []
+    skip = False
+    for i, tok in enumerate(argv):
+        if skip:
+            skip = False
+            continue
+        if tok == "--pairings" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            out.append(f"--pairings={argv[i + 1]}")
+            skip = True
+        else:
+            out.append(tok)
+    return out
+
+
+def parse_by_argparse(argv) -> argparse.Namespace:
+    """argv parsed as kmflag.cli parsed it with argparse; a usage error
+    raises cli._CliError with argparse's message."""
+    args = _merge_negative_values(argv)
+    return _build_parser(args[0] if args else None).parse_args(args)

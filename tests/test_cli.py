@@ -8,13 +8,14 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import kmflag
-from kmflag.cli import _json_doc, main
+from kmflag.cli import _COMMANDS, _OPTIONS, _CliError, _flags, _json_doc, _parse, main
 
 from conftest import GCM_PAIRS, rank3_datum
+from oracles import parse_by_argparse
 
 
 @pytest.fixture()
@@ -449,23 +450,40 @@ FRESH = (
 )
 
 
+def _fresh_env():
+    """The environment of a fresh `python` process that imports this kmflag."""
+    env = {k: v for k, v in os.environ.items() if k != "KMFLAG_SIZE_LIMIT"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kmflag.__file__))
+    return env
+
+
+def _loaded_modules(*args):
+    """The status, stdout and loaded modules of `python -v *args`: -v logs
+    every module loaded, including those imported through importlib."""
+    done = subprocess.run([sys.executable, "-v", *args], env=_fresh_env(),
+                          capture_output=True)
+    loaded = set(re.findall(r"^import '([\w.]+)'", done.stderr.decode(), re.M))
+    return done.returncode, done.stdout, loaded
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    """What `python -c pass` loads here: `site` differs between machines."""
+    return _loaded_modules("-c", "pass")[2]
+
+
 @pytest.mark.parametrize("args, stages", FRESH, ids=[a.split()[0] for a, _ in FRESH])
-def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
+def test_fresh_process_loads_only_its_stages(tmp_path, startup_modules, args, stages):
     # in process, another test's imports could hide a handler's missing one
     sha = {a: h for c, a, h in GOLDEN if c == "a2"}[args.replace(" --format json", "")]
     path = tmp_path / "a2.json"
     path.write_text(json.dumps({"cartan": GOLDEN_CARTANS["a2"]}))
-    env = {k: v for k, v in os.environ.items() if k != "KMFLAG_SIZE_LIMIT"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kmflag.__file__))
     command, *rest = args.split()
-    done = subprocess.run(
-        [sys.executable, "-v", "-m", "kmflag.cli", command, "--cartan", str(path), *rest],
-        env=env, capture_output=True,
+    status, stdout, loaded = _loaded_modules(
+        "-m", "kmflag.cli", command, "--cartan", str(path), *rest
     )
-    assert done.returncode == 0, done.stdout
-    assert hashlib.sha256(done.stdout).hexdigest() == sha
-    # -v logs every module loaded, including those imported through importlib
-    loaded = set(re.findall(r"^import '([\w.]+)'", done.stderr.decode(), re.M))
+    assert status == 0, stdout
+    assert hashlib.sha256(stdout).hexdigest() == sha
     assert {m for m in loaded if m.startswith("kmflag.")} == {
         f"kmflag.{m}"
         for m in ("_linalg", "_value", "errors", "root_datum", "weyl", *stages)
@@ -473,6 +491,8 @@ def test_fresh_process_loads_only_its_stages(tmp_path, args, stages):
     assert ("csv" in loaded) == ("--format csv" in args)
     # the pipeline builds no rationals: every number is an int
     assert not {"fractions", "decimal"} & loaded
+    # the command line is parsed without argparse and its gettext and locale
+    assert not {"argparse", "gettext", "locale"} & (loaded - startup_modules)
 
 
 #: how each entry point is started: `python -m kmflag.cli`, and the console
@@ -489,14 +509,12 @@ def test_process_exit_path(tmp_path, entry):
     # the status are main()'s, on success and on a resource-guard error
     path = tmp_path / "a2.json"
     path.write_text(json.dumps({"cartan": GOLDEN_CARTANS["a2"]}))
-    env = {k: v for k, v in os.environ.items() if k != "KMFLAG_SIZE_LIMIT"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kmflag.__file__))
 
     def cli(*args):
         return subprocess.run(
             [sys.executable, *ENTRY_POINTS[entry], args[0], "--cartan", str(path),
              *args[1:]],
-            env=env, capture_output=True,
+            env=_fresh_env(), capture_output=True,
         )
 
     args = "bmp --max-length 3 --base 1 --verify"
@@ -642,15 +660,138 @@ COMMAND_LIST = (
 )
 
 
-def test_help_lists_every_command(capsys, monkeypatch):
-    # "--help" names no command, so every subparser is built
-    monkeypatch.setenv("COLUMNS", "80")
+def test_help_lists_every_command(capsys):
+    # "--help" names no command, so the help lists them all
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
     listing = lines.index("positional arguments:") + 1
     assert lines[listing] == "  " + COMMAND_LIST
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_command_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-length", "2", "--help", "--bogus"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    assert re.findall(r"^  (--[\w-]+)", options, re.M) == [
+        "--cartan", "--size-limit", *_COMMANDS[command][1]
+    ]
+
+
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+def test_help_flag_is_no_value(help_flag):
+    # as with argparse, -h/--help where a value is due is a usage error
+    status, doc = run_cli("kl", "--max-length", "2", "--cartan", help_flag)
+    assert status == 1
+    assert json.loads(doc) == {
+        "error_code": "UsageError",
+        "message": "argument --cartan: expected one argument",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("kl", "--max-length", "2", "--format", "json", "--format", "csv"), "--format"),
+        (("kl", "--max-length", "2", "--format=csv", "--max-length=3"), "--max-length"),
+        (("bmp", "--max-length", "2", "--dual", "--dual"), "--dual"),
+    ],
+    ids=["format", "max-length", "dual"],
+)
+def test_repeated_option_rejected(a2_file, args, flag):
+    # every option has one spelling, given once: a second value does not win
+    status, doc = run_cli(args[0], "--cartan", a2_file, *args[1:])
+    assert status == 1
+    assert json.loads(doc) == {
+        "error_code": "UsageError",
+        "message": f"argument {flag}: may be given only once",
+    }
+
+
+def _flag_values(flag):
+    """Valid and invalid values of one option, as argv tokens.  "--" is not
+    drawn: argparse read it as the end of the options, and no command has
+    anything to read after that."""
+    spec = _OPTIONS[flag]
+    if "type" in spec:
+        return st.sampled_from(("0", "3", "12", "-1", " 2", "x", "1.5", "-x", ""))
+    if "choices" in spec:
+        return st.sampled_from((*spec["choices"], "xml", ""))
+    return st.sampled_from(("a2.json", "1,2", "e", "-2,-2", "-1", "x=y", ""))
+
+
+@st.composite
+def _argvs(draw):
+    """A command and tokens drawn from its flags: each missing, alone, with
+    a value or as --flag=value; another command's flag, an option prefix,
+    and maybe a flag dangling at the end, in any order."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    flags = _flags(command)
+    pieces = []
+    for flag in flags:
+        form = draw(st.sampled_from(("missing", "alone", "value", "value", "value", "=")))
+        if form == "missing":
+            continue
+        if form == "=":
+            pieces.append([f"{flag}={draw(_flag_values(flag))}"])
+        elif form == "alone" or "action" in _OPTIONS[flag]:
+            pieces.append([flag])
+        else:
+            pieces.append([flag, draw(_flag_values(flag))])
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.sampled_from(sorted(set(_OPTIONS) - set(flags)) or ["--bogus"]))
+        prefix = draw(st.sampled_from(flags))
+        prefix = prefix[: draw(st.integers(3, len(prefix) - 1))]
+        token = draw(st.sampled_from((other, prefix)))
+        pieces.append(draw(st.sampled_from(([token], [token, draw(_flag_values(other))]))))
+    argv = [command, *(t for piece in draw(st.permutations(pieces)) for t in piece)]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(flags)))
+    return argv
+
+
+#: a token argparse reads as a negative number, so as a value
+_ARGPARSE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _deliberate_difference(argv):
+    """Whether the parsers part on argv by design: a repeated option, or a
+    value that begins with "-" and is not a flag, which argparse read as an
+    unknown option (its front end glued any token that begins with "-" onto
+    a preceding --pairings instead, flag or not, own option or not)."""
+    flags = _flags(argv[0])
+    names = [token.partition("=")[0] for token in argv[1:]]
+    if any(names.count(flag) > 1 for flag in flags):
+        return True
+    for prev, token in zip(argv[1:], argv[2:]):
+        if not token.startswith("-"):
+            continue
+        is_flag = token.partition("=")[0] in flags
+        if prev == "--pairings":
+            if is_flag or prev not in flags:
+                return True
+        elif (prev in flags and "action" not in _OPTIONS[prev] and not is_flag
+              and not _ARGPARSE_NUMBER.match(token)):
+            return True
+    return False
+
+
+def _parsed(parse, argv):
+    """The option values parse reads off argv, or its usage error."""
+    try:
+        return vars(parse(argv))
+    except _CliError as exc:
+        return str(exc)
+
+
+@given(_argvs())
+def test_parser_agrees_with_argparse(argv):
+    assume(not _deliberate_difference(argv))
+    got = _parsed(lambda a: _parse(a, None), argv)
+    assert got == _parsed(parse_by_argparse, argv)
 
 
 @pytest.mark.parametrize(
@@ -668,18 +809,6 @@ def test_unknown_or_missing_command_message(args, message):
     status, doc = run_cli(*args)
     assert status == 1
     assert json.loads(doc) == {"error_code": "UsageError", "message": message}
-
-
-def test_named_command_builds_its_subparser_alone():
-    from kmflag.cli import _COMMANDS, _build_parser
-
-    def commands(parser):
-        (action,) = parser._subparsers._group_actions
-        return list(action.choices)
-
-    assert commands(_build_parser("kl")) == ["kl"]
-    for argv0 in (None, "--help", "-h", "frobnicate"):
-        assert commands(_build_parser(argv0)) == list(_COMMANDS)
 
 
 def test_failed_internal_check_exits_two(tmp_path, monkeypatch):
