@@ -288,8 +288,6 @@ def _cmd_characters(ns):
     from .kl import KLTable
 
     datum = _load_datum(ns)
-    if ns.pairings is None:
-        raise _CliError("--pairings is required")
     pairings = _parse_pairings(datum, ns.pairings)
     w = _parse_element(datum, ns.element, "--element")
     if datum.kind != INDEFINITE:
@@ -380,7 +378,8 @@ _OPTIONS = {
     ),
 }
 
-#: command -> (handler, the options it takes besides --cartan and --size-limit)
+#: command -> (handler, the options it takes besides --cartan and --size-limit,
+#: and optionally those of them it requires though their _OPTIONS entry does not)
 _COMMANDS = {
     "roots": (_cmd_roots, ("--depth",)),
     "weyl-ideal": (_cmd_weyl_ideal, ("--max-length", "--format")),
@@ -391,7 +390,8 @@ _COMMANDS = {
                        "--degree-cap-override")),
     "verify-kl": (_cmd_verify_kl, ("--max-length", "--base", "--dual",
                                    "--degree-cap-override")),
-    "characters": (_cmd_characters, ("--element", "--pairings", "--depth")),
+    "characters": (_cmd_characters, ("--element", "--pairings", "--depth"),
+                   ("--pairings",)),
     "multiplicities": (_cmd_multiplicities, ("--max-length", "--pairings", "--format")),
     "strata": (_cmd_strata, ("--max-length", "--format")),
 }
@@ -400,6 +400,14 @@ _COMMANDS = {
 def _flags(command) -> tuple:
     """The flags a command takes, in the order its help lists them."""
     return ("--cartan", "--size-limit", *_COMMANDS[command][1])
+
+
+def _required(command) -> tuple:
+    """The flags a command cannot do without, in the order of _flags: those
+    their _OPTIONS entry requires, and those its _COMMANDS entry lists third."""
+    entry = _COMMANDS[command]
+    own = entry[2] if len(entry) > 2 else ()
+    return tuple(f for f in _flags(command) if _OPTIONS[f].get("required") or f in own)
 
 
 def _dest(flag) -> str:
@@ -463,7 +471,7 @@ def _parse(argv, out) -> SimpleNamespace:
         if "choices" in spec:
             _choice(flag, value, spec["choices"])
         setattr(ns, _dest(flag), value)
-    missing = [f for f in flags if _OPTIONS[f].get("required") and f not in seen]
+    missing = [f for f in _required(command) if f not in seen]
     if missing:
         raise _CliError("the following arguments are required: " + ", ".join(missing))
     if extras:
@@ -479,14 +487,14 @@ def _help(command, out):
         out.write(f"usage: kmflag {commands} ...\n\n{__doc__}\n"
                   f"positional arguments:\n  {commands}\n")
         raise SystemExit(0)
-    usage, rows = [], []
+    usage, rows, required = [], [], _required(command)
     for flag in _flags(command):
-        spec = _OPTIONS[flag]
+        spec, bare = _OPTIONS[flag], flag in required
         if "choices" in spec:
             flag += " {" + ",".join(spec["choices"]) + "}"
         elif "action" not in spec:
             flag += " " + _dest(flag).upper()
-        usage.append(flag if spec.get("required") else f"[{flag}]")
+        usage.append(flag if bare else f"[{flag}]")
         pad = "\n" + " " * 26 if len(flag) > 22 else " " * (24 - len(flag))
         rows.append(f"  {flag}{pad}{spec['help']}\n" if "help" in spec else f"  {flag}\n")
     out.write(f"usage: kmflag {command} {' '.join(usage)}\n\noptions:\n{''.join(rows)}")

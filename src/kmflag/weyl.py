@@ -3,14 +3,13 @@
 An element w is stored as the integer matrix of w^{-1} on simple-root
 coordinates, whose columns give the left descents.  Its canonical reduced
 word, got by greedily peeling the smallest-index left descent, gives the
-rest.  The ideal path multiplies no two general matrices: a left step s_i w
-is a rank-one update of w^{-1}, enumerate_ideal hands every element its
-canonical word as it finds it, and the lower reflections (beta, s_beta w)
-of w = s_i v are those of v moved by s_i; t = s_beta exactly when (beta, e)
-is one of them.  A BruhatIdeal
-works on the positions of its canonically sorted elements: one table of
-lower reflections gives its Bruhat order as bitsets and its simple
-neighbours s_i w, which KLTable reads in place of matrix products.
+rest.  The lower reflections (beta, s_beta w) of w = s_i v are those of v
+moved by s_i, and t = s_beta exactly when (beta, e) is one of them.  The
+ideal path multiplies no two general matrices and hashes no element: a left
+step s_i w is a rank-one update of w^{-1}, enumerate_ideal hands every
+element its canonical word, and a BruhatIdeal builds its one table of lower
+reflections by position, which gives its Bruhat order as bitsets and its
+simple neighbours s_i w, read by KLTable in place of matrix products.
 """
 
 from __future__ import annotations
@@ -244,52 +243,40 @@ def is_reflection(t: WeylElement) -> RootVector | None:
     """The positive real root beta with t = s_beta, or None: t = s_beta
     exactly when (beta, e) is a lower pair of t (Bjorner-Brenti, GTM 231,
     ch. 1-2)."""
-    return next((beta for beta, y in _lower_pairs(t, {}) if y.is_identity()), None)
+    return next((beta for beta, y in _lower_pairs(t) if y.is_identity()), None)
 
 
 # -- finite open ideals ---------------------------------------------------
 
 
-def _lower_pairs(w: WeylElement, memo: dict) -> tuple:
+def _lower_pairs(w: WeylElement) -> tuple:
     """The pairs (beta, s_beta w), beta in the inversion set of w, sorted by
-    beta.  For w = s_i v with i the first letter of w's canonical word,
-    N(w) = {alpha_i} u s_i N(v) and s_{s_i gamma} w = s_i (s_gamma v), so
-    each pair costs one reflect_simple and one left step.  memo maps
-    elements to their pairs and gains w and every element of w's word
-    that was not in it, in the set of the caller or not."""
-    chain = []
-    while w not in memo:
-        word = w.reduced_word()
-        if not word:
-            memo[w] = ()
-            break
-        chain.append(w)
-        w = _left_step(w, word[0])
-        w._word, w._length = word[1:], len(word) - 1
-    v, pairs = w, memo[w]
-    for w in reversed(chain):
-        i = w._word[0]
-        pairs = [(w.datum.simple_root(i), v)]
-        pairs += [(w.datum.reflect_simple(i, g), _left_step(y, i)) for g, y in memo[v]]
-        pairs = memo[w] = tuple(sorted(pairs, key=lambda p: p[0]))
-        v = w
-    return pairs
+    beta.  Along w's word from the right, N(s_i v) = {alpha_i} u s_i N(v)
+    and s_{s_i gamma} s_i v = s_i (s_gamma v): one left step per pair."""
+    datum, v, pairs = w.datum, identity(w.datum), []
+    for i in reversed(w.reduced_word()):
+        pairs = [(datum.simple_root(i), v)] + [
+            (datum.reflect_simple(i, g), _left_step(y, i)) for g, y in pairs
+        ]
+        pairs.sort(key=lambda p: p[0])
+        v = _left_step(v, i)
+    return tuple(pairs)
 
 
 def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
     """The pairs (beta, s_beta w), beta in the inversion set of w in sorted
     order: exactly the reflections t with t w < w.  These relations generate
     the Bruhat order (Bjorner-Brenti, GTM 231, ch. 2)."""
-    return list(_lower_pairs(w, {}))
+    return list(_lower_pairs(w))
 
 
 class BruhatIdeal(Value):
     """A finite subset of the Weyl group, meant to be downward closed, with
     `elements` sorted canonically so that positions follow Bruhat order.
     Its reflection table holds, per position, the pairs (beta, position of
-    s_beta w) of lower_reflections(w) that stay in the set: one recursion
-    over the elements, read by lower_reflections, `left`, `below`, leq and
-    sj_complement."""
+    s_beta w) of lower_reflections(w) that stay in the set: one pass over
+    the positions, which fills `left` too, read by lower_reflections,
+    `below`, leq and sj_complement."""
 
     _fields = ("datum", "elements", "description")
 
@@ -297,7 +284,6 @@ class BruhatIdeal(Value):
         self.datum = datum
         self.elements = tuple(sorted(elements, key=WeylElement.sort_key))
         self.description = description
-        self._pos = {w: k for k, w in enumerate(self.elements)}
 
     def __contains__(self, w) -> bool:
         return w in self._pos
@@ -319,45 +305,57 @@ class BruhatIdeal(Value):
         return self._pos[w]
 
     @cached_property
-    def _pairs(self) -> tuple[tuple, ...]:
-        """Every lower pair of every element, inside the set or not.  The
-        pairs of the last element are checked against the definition,
-        s_beta w = reflection(beta) w as a matrix product."""
-        memo = {}
-        pairs = tuple(_lower_pairs(w, memo) for w in self.elements)
-        if pairs:
-            top = self.elements[-1]
-            for beta, y in pairs[-1]:
-                if multiply(reflection(self.datum, beta), top) != y:
-                    raise CrossCheckFailed(
-                        f"lower pair {beta} of the last element is wrong"
-                    )
-        return pairs
+    def _pos(self) -> dict:
+        return {w: k for k, w in enumerate(self.elements)}
 
     @cached_property
+    def _table(self) -> tuple:
+        """The reflection table and `left`, in one pass in position order.
+        With i the first letter of w's canonical word, w's pairs are
+        (alpha_i, v) for its parent v = s_i w, found by word, and
+        (s_i gamma, s_i y) for each pair (gamma, y) of v.  Each s_i y < w has
+        its position in `left` already, from y's row (s_i y < y) or its own.
+        A set that lacks v or some s_i y is not downward closed: that row
+        keeps the pairs of lower_reflections(w) inside the set.  The last
+        row is checked against s_beta w = reflection(beta) w."""
+        datum, elements, reflect = self.datum, self.elements, self.datum.reflect_simple
+        at = {w.reduced_word(): k for k, w in enumerate(elements)}
+        left = tuple([None] * datum.rank for _ in elements)
+        rows = []
+        for k, w in enumerate(elements):
+            word, row = w.reduced_word(), []
+            if word:
+                i, p = word[0], at.get(word[1:])
+                if p is not None and len(rows[p]) == len(word) - 1:
+                    row = [(datum.simple_root(i), p)]
+                    row += [(reflect(i, g), left[j][i]) for g, j in rows[p]]
+                if len(row) < len(word) or any(j is None for _, j in row):
+                    row = [(b, self._pos[y]) for b, y in _lower_pairs(w) if y in self]
+            row.sort()
+            for beta, j in row:
+                if sum(beta) == 1:
+                    t = beta.index(1)
+                    left[k][t], left[j][t] = j, k
+            rows.append(tuple(row))
+        for beta, j in rows[-1] if rows else ():
+            if multiply(reflection(datum, beta), elements[-1]) != elements[j]:
+                raise CrossCheckFailed(f"lower pair {beta} of the last element is wrong")
+        return tuple(rows), left
+
+    @property
     def _lower(self) -> tuple[tuple, ...]:
-        pos = self._pos
-        return tuple(
-            tuple((beta, pos[y]) for beta, y in pairs if y in pos)
-            for pairs in self._pairs
-        )
+        """Per position, the table's pairs inside the set, sorted by beta."""
+        return self._table[0]
 
     def lower_reflections(self, w) -> list[tuple[RootVector, WeylElement]]:
         """The pairs of lower_reflections(w) whose lower element lies in the
         set, given as the set's own element."""
         return [(beta, self.elements[j]) for beta, j in self._lower[self.position(w)]]
 
-    @cached_property
+    @property
     def left(self) -> tuple[list, ...]:
-        """left[k][i] is the position of s_i w_k, or None outside the set,
-        read off the table's pairs whose root has height 1 (alpha_i)."""
-        left = tuple([None] * self.datum.rank for _ in self.elements)
-        for k, lower in enumerate(self._lower):
-            for beta, j in lower:
-                if sum(beta) == 1:
-                    i = beta.index(1)
-                    left[k][i], left[j][i] = j, k
-        return left
+        """left[k][i] is the position of s_i w_k, or None outside the set."""
+        return self._table[1]
 
     @cached_property
     def below(self) -> list[int]:
@@ -375,8 +373,11 @@ class BruhatIdeal(Value):
     @cached_property
     def sj_complement(self) -> frozenset:
         """R^+ minus the cofinite stable set of the ideal: the finite union
-        of the inversion sets of its elements."""
-        return frozenset(beta for pairs in self._pairs for beta, _ in pairs)
+        of the inversion sets of its elements, the roots of its table when
+        the set is downward closed (else rows lack the pairs that leave it)."""
+        if not self.is_downward_closed():
+            return frozenset().union(*map(inversion_set, self.elements))
+        return frozenset(beta for row in self._lower for beta, _ in row)
 
     def is_downward_closed(self) -> bool:
         """Whether every element keeps all l(w) of its lower reflections."""
@@ -396,11 +397,12 @@ def enumerate_ideal(
     the least left descent of u = s_i w, that is when no j < i has
     u^{-1}(alpha_j) = w^{-1}(alpha_j) - a_ij w^{-1}(alpha_i) negative.  So
     every element is found once, from its canonical parent, and its
-    canonical word is (i,) + word(w)."""
+    canonical word is (i,) + word(w).  These images are roots, so the sign
+    of each is that of its height, and the heights h_j of the w^{-1}(alpha_j)
+    (the column sums of w^{-1}) decide every test: h_i > 0 > h_j - a_ij h_i."""
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     a = datum.cartan
-    n = datum.rank
     e = identity(datum)
     e._length, e._word = 0, ()
     found = [e]
@@ -409,14 +411,9 @@ def enumerate_ideal(
     while frontier and length < max_length:
         nxt = []
         for w in frontier:
-            cols = [w._column(j) for j in range(n)]
-            for i, col in enumerate(cols):
-                if not is_positive_vector(col):
-                    continue
-                if any(
-                    is_negative_vector([x - a[i][j] * y for x, y in zip(cols[j], col)])
-                    for j in range(i)
-                ):
+            h = [sum(col) for col in zip(*w.inv_matrix)]
+            for i, hi in enumerate(h):
+                if hi < 0 or any(h[j] - a[i][j] * hi < 0 for j in range(i)):
                     continue
                 u = _left_step(w, i)
                 u._length, u._word = length + 1, (i,) + w._word
@@ -464,7 +461,7 @@ def ideal_from_generators(
 
 def inversion_set(u: WeylElement) -> set[RootVector]:
     """{alpha > 0 : u^{-1}(alpha) < 0}: the roots of the lower pairs of u."""
-    out = {beta for beta, _ in _lower_pairs(u, {})}
+    out = {beta for beta, _ in _lower_pairs(u)}
     if len(out) != u.length():
         raise CrossCheckFailed("inversion set size must equal the length")
     return out
@@ -481,10 +478,13 @@ def stratum_dimension(x: WeylElement, ideal: BruhatIdeal) -> int:
 
     Both descriptions are computed and must agree:
     |{alpha in complement : x^{-1}(alpha) > 0}|  ==  |complement| - l(x).
+    The root x^{-1}(alpha) is positive exactly when its height is, the sum
+    over k of alpha_k times the height h_k of x^{-1}(alpha_k).
     """
     ideal.position(x)  # raises NotInIdeal for an element outside the ideal
     comp = sj_complement(ideal)
-    direct = sum(1 for alpha in comp if is_positive_vector(x.apply_inverse(alpha)))
+    h = [sum(col) for col in zip(*x.inv_matrix)]
+    direct = sum(1 for alpha in comp if sum(map(mul, alpha, h)) > 0)
     counted = len(comp) - x.length()
     if direct != counted:
         raise CrossCheckFailed("stratum dimension formulas disagree")

@@ -705,11 +705,17 @@ def left_step_ref(w, i) -> WeylElement:
 # -- the moment graph by a full scan -----------------------------------------
 
 
+def _lower_pairs_in(ideal, w) -> list:
+    """The pairs (beta, s_beta w) of w with s_beta w in the ideal, by matrix
+    products (lower_reflections_oracle), not by the ideal's own table."""
+    return [(beta, y) for beta, y in lower_reflections_oracle(w) if y in ideal]
+
+
 def edges_by_scan(datum, ideal, dual=False) -> list:
     """Every edge (s_beta w, w) of the ideal, labeled beta or, on the dual
     graph, beta's coroot, sorted by (lower.sort_key(), upper.sort_key(),
     label)."""
-    edges = [Edge(y, w, beta) for w in ideal for beta, y in ideal.lower_reflections(w)]
+    edges = [Edge(y, w, beta) for w in ideal for beta, y in _lower_pairs_in(ideal, w)]
     if dual:
         edges = [Edge(e.lower, e.upper, datum.coroot_coords(e.label)) for e in edges]
     edges.sort(key=lambda e: (e.lower.sort_key(), e.upper.sort_key(), e.label))
@@ -721,7 +727,7 @@ def covers_by_scan(ideal) -> list:
     out = [
         (y, x)
         for x in ideal
-        for _, y in ideal.lower_reflections(x)
+        for _, y in _lower_pairs_in(ideal, x)
         if y.length() == x.length() - 1
     ]
     out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
@@ -881,8 +887,11 @@ def _build_parser(command=None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (command,) if command in cli._COMMANDS else cli._COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag in ("--cartan", "--size-limit", *cli._COMMANDS[name][1]):
-            p.add_argument(flag, **cli._OPTIONS[flag])
+        entry = cli._COMMANDS[name]
+        own = entry[2] if len(entry) > 2 else ()  # the flags it alone requires
+        for flag in ("--cartan", "--size-limit", *entry[1]):
+            extra = {"required": True} if flag in own else {}
+            p.add_argument(flag, **cli._OPTIONS[flag], **extra)
     return parser
 
 

@@ -589,6 +589,28 @@ def test_ideal_max_length_alias_removed(a2_file):
     }
 
 
+def test_characters_requires_pairings(tmp_path, capsys):
+    # the parser rejects it before the Cartan file is read, in argparse's
+    # order (missing flags before unrecognized tokens), and the help says
+    # so; multiplicities keeps --pairings optional (all -2 by default)
+    missing = str(tmp_path / "missing.json")
+    for args, message in [
+        (("--cartan", missing), "--pairings"),
+        (("--element", "1", "--bogus"), "--cartan, --pairings"),
+    ]:
+        status, doc = run_cli("characters", *args)
+        assert status == 1
+        assert json.loads(doc) == {
+            "error_code": "UsageError",
+            "message": "the following arguments are required: " + message,
+        }
+    for command, shown in [("characters", " --pairings PAIRINGS "),
+                           ("multiplicities", " [--pairings PAIRINGS] ")]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert shown in capsys.readouterr().out.splitlines()[0]
+
+
 def test_roots_indefinite_names_supported_kinds(tmp_path):
     path = tmp_path / "hyperbolic3.json"
     path.write_text(json.dumps({"cartan": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]}))

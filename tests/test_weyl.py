@@ -12,6 +12,7 @@ from kmflag.root_datum import (
 from kmflag.weyl import (
     BruhatIdeal,
     WeightCoords,
+    WeylElement,
     _left_step,
     bruhat_leq,
     dot_action,
@@ -181,30 +182,32 @@ def test_ideal_from_long_generators(affine_a1):
 
 
 def test_downward_closed_matches_oracle_on_all_subsets(a2_group):
+    # every subset of A2, closed or not: the rows a subset cannot finish by
+    # position keep the oracle's pairs inside the subset
     elems = a2_group.elements
     oracle = bruhat_closure_oracle(a2_group)
     for mask in range(1 << len(elems)):
         subset = tuple(w for k, w in enumerate(elems) if mask >> k & 1)
         expected = all(y in subset for y, x in oracle if x in subset)
-        assert BruhatIdeal(a2_group.datum, subset, "subset").is_downward_closed() == expected
+        ideal = BruhatIdeal(a2_group.datum, subset, "subset")
+        assert ideal.is_downward_closed() == expected
+        for w in subset:
+            pairs = [(b, y) for b, y in lower_reflections_oracle(w) if y in subset]
+            assert ideal.lower_reflections(w) == pairs, (mask, format_word(w))
+        roots = {b for w in subset for b, _ in lower_reflections_oracle(w)}
+        assert ideal.sj_complement == roots
 
 
-@given(st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS))
-def test_rank3_ideal_tables_match_oracle(pairs):
-    # words, reflection table, neighbours, bitsets and inversion sets of the
-    # left-step path against the matrix-product oracles
-    datum = rank3_datum(pairs)
-    ideal = enumerate_ideal(datum, 4)
-    assert set(ideal) == ideal_oracle(datum, 4)
+def _check_tables(ideal):
+    """The reflection table, `left`, `below` and sj_complement of a
+    downward-closed ideal against the matrix-product oracles."""
+    datum = ideal.datum
     below = {}  # Bruhat lower sets, closed under the oracle's lower pairs
     comp = set()
     for k, w in enumerate(ideal):
-        assert w.reduced_word() == word_oracle(w)
         pairs = lower_reflections_oracle(w)
-        roots = {beta for beta, _ in pairs}
-        assert inversion_set(w) == roots
-        comp |= roots
-        expected = [(beta, ideal.position(y)) for beta, y in pairs if y in ideal]
+        comp |= {beta for beta, _ in pairs}
+        expected = [(beta, ideal.position(y)) for beta, y in pairs]
         assert list(ideal._lower[k]) == expected, format_word(w)
         for i in range(datum.rank):
             sw = multiply(simple_reflection(datum, i), w)
@@ -213,6 +216,62 @@ def test_rank3_ideal_tables_match_oracle(pairs):
         bits = sum(1 << j for j, y in enumerate(ideal) if y in below[w])
         assert ideal.below[k] == bits, format_word(w)
     assert ideal.sj_complement == comp
+
+
+@given(
+    st.tuples(GCM_PAIRS, GCM_PAIRS, GCM_PAIRS),
+    st.lists(st.integers(0, 2), max_size=6),
+)
+def test_rank3_ideal_tables_match_oracle(pairs, word):
+    # words, reflection table, neighbours, bitsets and inversion sets of the
+    # left-step path against the matrix-product oracles, on the ideal of
+    # length <= 4 and on the downward closure of one drawn element
+    datum = rank3_datum(pairs)
+    ideal = enumerate_ideal(datum, 4)
+    assert set(ideal) == ideal_oracle(datum, 4)
+    for w in ideal:
+        assert w.reduced_word() == word_oracle(w)
+        assert inversion_set(w) == {beta for beta, _ in lower_reflections_oracle(w)}
+    _check_tables(ideal)
+    _check_tables(ideal_from_generators(datum, [from_word(datum, word)]))
+
+
+@pytest.mark.parametrize(
+    "cartan, bound",
+    [
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 6),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9),
+        ([[2, -2], [-2, 2]], 8),
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 5),
+    ],
+    ids=["a3", "b3", "affine_a1", "hyperbolic"],
+)
+def test_ideal_tables_match_oracle(cartan, bound):
+    # deeper enumerate_ideal ideals (all of A3 and B3), and the downward
+    # closures of sampled elements, the path that `characters` takes
+    datum = validate_cartan(cartan)
+    ideal = enumerate_ideal(datum, bound)
+    _check_tables(ideal)
+    rng = random.Random(bound)
+    for size in (1, 1, 2, 3):
+        gens = rng.sample(ideal.elements, size)
+        _check_tables(ideal_from_generators(datum, gens))
+
+
+def test_tables_hash_no_element(monkeypatch):
+    # the ideal, its reflection table, left and below are built by position
+    # and by word: no Weyl element is hashed until one is looked up
+    calls = []
+    true_hash = WeylElement.__hash__
+    monkeypatch.setattr(WeylElement, "__hash__", lambda w: calls.append(w) or true_hash(w))
+    datum = validate_cartan(
+        [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    )
+    ideal = enumerate_ideal(datum, 10)
+    assert len(ideal._lower) == len(ideal.left) == len(ideal.below) == 120
+    assert calls == []
+    ideal.position(ideal.elements[-1])  # builds the element index by hashing
+    assert len(calls) > 120
 
 
 @pytest.mark.parametrize(
