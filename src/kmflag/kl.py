@@ -155,7 +155,7 @@ class KLTable:
     elements."""
 
     def __init__(self, ideal: BruhatIdeal):
-        # ideal.below raises IntervalNotContained unless the ideal is closed
+        # ideal.below raises IntervalNotContained on a set not downward closed
         self.ideal = ideal
         self._below, self._left = ideal.below, ideal.left
         self._length = [w.length() for w in ideal.elements]

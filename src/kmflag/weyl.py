@@ -271,12 +271,12 @@ def lower_reflections(w: WeylElement) -> list[tuple[RootVector, WeylElement]]:
 
 
 class BruhatIdeal(Value):
-    """A finite subset of the Weyl group, meant to be downward closed, with
-    `elements` sorted canonically so that positions follow Bruhat order.
-    Its reflection table holds, per position, the pairs (beta, position of
-    s_beta w) of lower_reflections(w) that stay in the set: one pass over
-    the positions, which fills `left` too, read by lower_reflections,
-    `below`, leq and sj_complement."""
+    """A finite downward-closed subset of the Weyl group, with `elements`
+    sorted canonically so that positions follow Bruhat order, and found by
+    canonical word, never by hashing.  Its reflection table holds, per
+    position, the pairs (beta, position of s_beta w) of lower_reflections(w):
+    one pass over the positions, which fills `left` too and raises
+    IntervalNotContained on a set that is not downward closed."""
 
     _fields = ("datum", "elements", "description")
 
@@ -286,7 +286,11 @@ class BruhatIdeal(Value):
         self.description = description
 
     def __contains__(self, w) -> bool:
-        return w in self._pos
+        return (
+            isinstance(w, WeylElement)
+            and _same_datum(w.datum, self.datum)
+            and w.reduced_word() in self._at
+        )
 
     def __iter__(self):
         return iter(self.elements)
@@ -300,13 +304,14 @@ class BruhatIdeal(Value):
 
     def position(self, w) -> int:
         """The index of w in `elements`."""
-        if w not in self._pos:
+        if w not in self:
             raise NotInIdeal(f"element {format_word(w)} not in the ideal")
-        return self._pos[w]
+        return self._at[w.reduced_word()]
 
     @cached_property
-    def _pos(self) -> dict:
-        return {w: k for k, w in enumerate(self.elements)}
+    def _at(self) -> dict:
+        """The position of each element, keyed by its canonical word."""
+        return {w.reduced_word(): k for k, w in enumerate(self.elements)}
 
     @cached_property
     def _table(self) -> tuple:
@@ -315,22 +320,21 @@ class BruhatIdeal(Value):
         (alpha_i, v) for its parent v = s_i w, found by word, and
         (s_i gamma, s_i y) for each pair (gamma, y) of v.  Each s_i y < w has
         its position in `left` already, from y's row (s_i y < y) or its own.
-        A set that lacks v or some s_i y is not downward closed: that row
-        keeps the pairs of lower_reflections(w) inside the set.  The last
-        row is checked against s_beta w = reflection(beta) w."""
+        A set that lacks v or some s_i y is not downward closed: the pass
+        raises IntervalNotContained.  The last row is checked against
+        s_beta w = reflection(beta) w."""
         datum, elements, reflect = self.datum, self.elements, self.datum.reflect_simple
-        at = {w.reduced_word(): k for k, w in enumerate(elements)}
         left = tuple([None] * datum.rank for _ in elements)
         rows = []
         for k, w in enumerate(elements):
             word, row = w.reduced_word(), []
             if word:
-                i, p = word[0], at.get(word[1:])
-                if p is not None and len(rows[p]) == len(word) - 1:
+                i, p = word[0], self._at.get(word[1:])
+                if p is not None:
                     row = [(datum.simple_root(i), p)]
                     row += [(reflect(i, g), left[j][i]) for g, j in rows[p]]
                 if len(row) < len(word) or any(j is None for _, j in row):
-                    row = [(b, self._pos[y]) for b, y in _lower_pairs(w) if y in self]
+                    raise IntervalNotContained(f"{self.description} is not downward closed")
             row.sort()
             for beta, j in row:
                 if sum(beta) == 1:
@@ -344,12 +348,12 @@ class BruhatIdeal(Value):
 
     @property
     def _lower(self) -> tuple[tuple, ...]:
-        """Per position, the table's pairs inside the set, sorted by beta."""
+        """Per position, the table's pairs, sorted by beta."""
         return self._table[0]
 
     def lower_reflections(self, w) -> list[tuple[RootVector, WeylElement]]:
-        """The pairs of lower_reflections(w) whose lower element lies in the
-        set, given as the set's own element."""
+        """lower_reflections(w) for w in the set, each lower element given
+        as the set's own element."""
         return [(beta, self.elements[j]) for beta, j in self._lower[self.position(w)]]
 
     @property
@@ -360,8 +364,6 @@ class BruhatIdeal(Value):
     @cached_property
     def below(self) -> list[int]:
         """Each element's Bruhat lower set as a bitset over positions."""
-        if not self.is_downward_closed():
-            raise IntervalNotContained(f"{self.description} is not downward closed")
         below = []
         for k, lower in enumerate(self._lower):
             bits = 1 << k
@@ -373,15 +375,8 @@ class BruhatIdeal(Value):
     @cached_property
     def sj_complement(self) -> frozenset:
         """R^+ minus the cofinite stable set of the ideal: the finite union
-        of the inversion sets of its elements, the roots of its table when
-        the set is downward closed (else rows lack the pairs that leave it)."""
-        if not self.is_downward_closed():
-            return frozenset().union(*map(inversion_set, self.elements))
+        of the inversion sets of its elements, the roots of its table."""
         return frozenset(beta for row in self._lower for beta, _ in row)
-
-    def is_downward_closed(self) -> bool:
-        """Whether every element keeps all l(w) of its lower reflections."""
-        return all(len(low) == w.length() for w, low in zip(self.elements, self._lower))
 
     def leq(self, y: WeylElement, w: WeylElement) -> bool:
         """Bruhat order between two elements of the set, as a bit test."""
@@ -469,7 +464,7 @@ def inversion_set(u: WeylElement) -> set[RootVector]:
 
 def sj_complement(ideal: BruhatIdeal) -> frozenset:
     """R^+ minus the cofinite stable set of the ideal, computed once per
-    ideal."""
+    ideal; IntervalNotContained on a set that is not downward closed."""
     return ideal.sj_complement
 
 

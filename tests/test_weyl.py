@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmflag.errors import NotInIdeal, NotRealRoot, SizeLimitExceeded
+from kmflag.errors import IntervalNotContained, NotInIdeal, NotRealRoot, SizeLimitExceeded
 from kmflag.kl import KLTable
+from kmflag.moment_graph import build_moment_graph, covering_relations
 from kmflag.root_datum import (
     RootDatum, is_negative_vector, is_positive_vector, validate_cartan,
 )
@@ -153,7 +154,7 @@ def test_enumerate_ideal_counts(a2, affine_a1):
 
 def test_enumerate_ideal_downward_closed(a2, affine_a1):
     for ideal in (enumerate_ideal(a2, 2), enumerate_ideal(affine_a1, 4)):
-        assert ideal.is_downward_closed()
+        assert len(ideal.below) == len(ideal)  # raises unless closed
         for x in ideal:
             for y in ideal:
                 if bruhat_leq(y, x):
@@ -168,7 +169,7 @@ def test_size_limit(affine_a1):
 def test_ideal_from_generators(a2):
     s1, s2 = simple_reflection(a2, 0), simple_reflection(a2, 1)
     j = ideal_from_generators(a2, [s1, s2])
-    assert len(j) == 3 and j.is_downward_closed()
+    assert len(j) == 3 and j.below == [0b1, 0b11, 0b101]
     w0 = from_word(a2, [0, 1, 0])
     assert len(ideal_from_generators(a2, [w0])) == 6
 
@@ -182,20 +183,38 @@ def test_ideal_from_long_generators(affine_a1):
 
 
 def test_downward_closed_matches_oracle_on_all_subsets(a2_group):
-    # every subset of A2, closed or not: the rows a subset cannot finish by
-    # position keep the oracle's pairs inside the subset
-    elems = a2_group.elements
+    # the oracle splits the 64 subsets of A2: a closed subset's table is the
+    # oracle's, and every reader of any other subset's table raises
+    datum, elems = a2_group.datum, a2_group.elements
     oracle = bruhat_closure_oracle(a2_group)
+    closed = 0
     for mask in range(1 << len(elems)):
         subset = tuple(w for k, w in enumerate(elems) if mask >> k & 1)
-        expected = all(y in subset for y, x in oracle if x in subset)
-        ideal = BruhatIdeal(a2_group.datum, subset, "subset")
-        assert ideal.is_downward_closed() == expected
-        for w in subset:
-            pairs = [(b, y) for b, y in lower_reflections_oracle(w) if y in subset]
-            assert ideal.lower_reflections(w) == pairs, (mask, format_word(w))
-        roots = {b for w in subset for b, _ in lower_reflections_oracle(w)}
-        assert ideal.sj_complement == roots
+        ideal = BruhatIdeal(datum, subset, "subset")
+        if all(y in subset for y, x in oracle if x in subset):
+            closed += 1
+            for w in subset:
+                assert ideal.lower_reflections(w) == lower_reflections_oracle(w)
+            roots = {b for w in subset for b, _ in lower_reflections_oracle(w)}
+            assert ideal.sj_complement == roots
+            continue
+        w = subset[-1]
+        readers = [
+            lambda: ideal.below,
+            lambda: ideal.leq(subset[0], w),
+            lambda: ideal.left,
+            lambda: ideal.lower_reflections(w),
+            lambda: ideal.sj_complement,
+            lambda: sj_complement(ideal),
+            lambda: build_moment_graph(datum, ideal),
+            lambda: covering_relations(ideal),
+            lambda: stratum_dimension(w, ideal),
+            lambda: KLTable(ideal),
+        ]
+        for read in readers:
+            with pytest.raises(IntervalNotContained, match="subset is not downward closed"):
+                read()
+    assert closed == 9  # the order ideals of the Bruhat order of S3
 
 
 def _check_tables(ideal):
@@ -260,7 +279,8 @@ def test_ideal_tables_match_oracle(cartan, bound):
 
 def test_tables_hash_no_element(monkeypatch):
     # the ideal, its reflection table, left and below are built by position
-    # and by word: no Weyl element is hashed until one is looked up
+    # and by word, and elements are looked up by word: no Weyl element is
+    # hashed
     calls = []
     true_hash = WeylElement.__hash__
     monkeypatch.setattr(WeylElement, "__hash__", lambda w: calls.append(w) or true_hash(w))
@@ -269,9 +289,19 @@ def test_tables_hash_no_element(monkeypatch):
     )
     ideal = enumerate_ideal(datum, 10)
     assert len(ideal._lower) == len(ideal.left) == len(ideal.below) == 120
+    # also for an element parsed afresh and one over an equal, distinct datum
+    twin = RootDatum(datum.cartan, datum.symmetrizer, datum.kind, datum.dual_labels)
+    lookups = list(ideal.elements)
+    lookups += [parse_word(datum, "4,3,2,1,4"), from_word(twin, (0, 1, 2, 3, 0))]
+    for w in lookups:
+        assert w in ideal and ideal.elements[ideal.position(w)] == w
+    small = enumerate_ideal(datum, 3)
+    assert ideal.elements[-1] not in small
+    with pytest.raises(NotInIdeal):
+        small.position(ideal.elements[-1])
+    for other in ("1,2", None, ideal.elements[-1].inv_matrix, small):
+        assert other not in ideal
     assert calls == []
-    ideal.position(ideal.elements[-1])  # builds the element index by hashing
-    assert len(calls) > 120
 
 
 @pytest.mark.parametrize(
